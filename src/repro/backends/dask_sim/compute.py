@@ -14,7 +14,8 @@ failure of Figure 12) and the error propagates.
 
 from __future__ import annotations
 
-from typing import Callable, List
+from contextlib import contextmanager
+from typing import Callable, Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -31,6 +32,9 @@ class Evaluator:
 
     def __init__(self, store: PartitionStore):
         self.store = store
+        # broadcast join sides of the current pass: id(expr) -> (expr, side)
+        self._broadcast: Dict[int, Tuple[Expr, object]] = {}
+        self._pass_depth = 0
 
     # -- public API --------------------------------------------------------
 
@@ -41,9 +45,10 @@ class Evaluator:
         each piece's buffers as they merge.
         """
         parts = []
-        for i in range(expr.npartitions):
-            parts.append(self._guarded(self.eval_partition, expr, i))
-            self.store.ensure_headroom()
+        with self.evaluation_pass():
+            for i in range(expr.npartitions):
+                parts.append(self._guarded(self.eval_partition, expr, i))
+                self.store.ensure_headroom()
         if len(parts) == 1:
             return parts[0]
         if isinstance(parts[0], DataFrame):
@@ -53,15 +58,37 @@ class Evaluator:
     def persist(self, expr: Expr) -> Expr:
         """Compute every partition and pin it in the (spillable) store."""
         handles = []
-        for i in range(expr.npartitions):
-            value = self._guarded(self.eval_partition, expr, i)
-            handles.append(self.store.put(value))
+        with self.evaluation_pass():
+            for i in range(expr.npartitions):
+                value = self._guarded(self.eval_partition, expr, i)
+                handles.append(self.store.put(value))
         return materialized_expr(handles)
+
+    def partitions(self, expr: Expr) -> Iterator:
+        """Each partition of ``expr`` in turn, within one evaluation pass."""
+        with self.evaluation_pass():
+            for i in range(expr.npartitions):
+                yield self.eval_partition(expr, i)
+
+    @contextmanager
+    def evaluation_pass(self):
+        """Scope in which each broadcast join side is evaluated once.
+
+        Passes nest; the held sides are dropped when the outermost ends.
+        """
+        self._pass_depth += 1
+        try:
+            yield
+        finally:
+            self._pass_depth -= 1
+            if not self._pass_depth:
+                self._broadcast.clear()
 
     def _guarded(self, func: Callable, *args):
         try:
             return func(*args)
         except SimulatedMemoryError:
+            self._broadcast.clear()
             self.store.spill_all()
             return func(*args)
 
@@ -89,11 +116,22 @@ class Evaluator:
             return self._eval_head(expr)
         if kind == "merge_broadcast":
             left = self.eval_partition(expr.children[0], i)
-            right = self.eval_partition(expr.children[1], 0)
-            return left.merge(right, **expr.params["kwargs"])
+            return left.merge(self._broadcast_side(expr), **expr.params["kwargs"])
         if kind == "merge_shuffle":
             return self._eval_shuffle_bucket(expr, i)
         raise ValueError(f"unknown expression kind {kind!r}")
+
+    def _broadcast_side(self, expr: Expr):
+        """The single-partition side of a broadcast join, evaluated once
+        per pass rather than once per left partition."""
+        if not self._pass_depth:
+            return self.eval_partition(expr.children[1], 0)
+        held = self._broadcast.get(id(expr))
+        if held is None:
+            # holding ``expr`` keeps its id from being reused in the pass
+            held = (expr, self.eval_partition(expr.children[1], 0))
+            self._broadcast[id(expr)] = held
+        return held[1]
 
     def _scan_partition(self, expr: Expr, i: int):
         params = expr.params
@@ -122,8 +160,7 @@ class Evaluator:
         child = expr.children[0]
         map_func = expr.params["map"]
         partials = []
-        for j in range(child.npartitions):
-            part = self.eval_partition(child, j)
+        for part in self.partitions(child):
             partials.append(map_func(part))
             del part
             self.store.ensure_headroom()
@@ -148,8 +185,7 @@ class Evaluator:
         n = expr.params["n"]
         pieces = []
         have = 0
-        for j in range(child.npartitions):
-            part = self.eval_partition(child, j)
+        for part in self.partitions(child):
             pieces.append(part.head(n - have))
             have += len(pieces[-1])
             if have >= n:
@@ -192,8 +228,7 @@ class Evaluator:
     def _partition_side(self, side: Expr, keys: List[str], nbuckets: int):
         buckets: List[list] = [[] for _ in range(nbuckets)]
         template = None
-        for i in range(side.npartitions):
-            part = self.eval_partition(side, i)
+        for part in self.partitions(side):
             if template is None:
                 template = part[np.zeros(len(part), dtype=bool)]
             codes = _bucket_codes(part, keys, nbuckets)

@@ -47,10 +47,7 @@ class DaskCollection:
         return self.evaluator.materialize(self.expr)
 
     def __len__(self) -> int:
-        total = 0
-        for i in range(self.expr.npartitions):
-            total += len(self.evaluator.eval_partition(self.expr, i))
-        return total
+        return sum(len(part) for part in self.evaluator.partitions(self.expr))
 
 
 class DaskFrame(DaskCollection):
@@ -485,15 +482,13 @@ class DaskSeries(DaskCollection):
 
     def nunique(self) -> int:
         uniques = set()
-        for i in range(self.npartitions):
-            part = self.evaluator.eval_partition(self.expr, i)
+        for part in self.evaluator.partitions(self.expr):
             uniques.update(part.unique())
         return len(uniques)
 
     def unique(self) -> np.ndarray:
         uniques: set = set()
-        for i in range(self.npartitions):
-            part = self.evaluator.eval_partition(self.expr, i)
+        for part in self.evaluator.partitions(self.expr):
             uniques.update(part.unique())
         return np.asarray(sorted(uniques, key=str), dtype=object)
 

@@ -9,17 +9,28 @@
 - ``nrows``        -- sampling for the metastore,
 - ``byte_range``   -- partitioned reads for the Dask-like backend.
 
-Parsing uses the stdlib ``csv`` module (C-accelerated); type inference
-tries int64 -> float64 -> object per column, mirroring pandas defaults
-(dates stay strings unless ``parse_dates`` asks for them -- the paper's
-metadata optimization exists precisely because inference is this naive).
+Parsing is projection-aware, so reading 3 of 22 columns costs about
+3/22 of the tokenizing.  The reader takes line-aligned blocks of about
+:data:`BLOCK_BYTES` raw bytes.  A block that is ASCII, has no ``"``,
+ends its lines in LF or CRLF and has exactly ``len(header)`` fields on
+every line is tokenized by one numpy pass over its ``,``/``\n`` bytes;
+only the projected columns are then sliced out of the decoded block.
+The first block that does not qualify hands the rest of the read to one
+stdlib ``csv.reader`` (quoted fields, embedded newlines, non-ASCII text,
+ragged rows); on a qualifying block both give the same cells.  Line ends
+are LF or CRLF (a bare CR is not a line end).  Blank lines are skipped;
+a row too short to hold a projected column raises ``IndexError``.
+Type inference tries int64 -> float64 -> object per
+column, mirroring pandas defaults (dates stay strings unless
+``parse_dates`` asks for them -- the paper's metadata optimization exists
+precisely because inference is this naive).
 """
 
 from __future__ import annotations
 
 import csv
 import os
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import BinaryIO, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -27,6 +38,12 @@ from repro.frame.column import Column
 from repro.frame.dataframe import DataFrame
 from repro.frame.dtypes import CategoricalDtype, is_categorical, normalize_dtype
 from repro.frame.series import Series
+
+#: Raw bytes per tokenizer block, before rounding up to the end of a line.
+#: Bounded so a large file never sits in memory whole.
+BLOCK_BYTES = 1 << 20
+
+_COMMA, _LF, _CR = ord(","), ord("\n"), ord("\r")
 
 
 def read_csv(
@@ -38,33 +55,27 @@ def read_csv(
     index_col: Optional[str] = None,
     byte_range: Optional[Tuple[int, int]] = None,
 ) -> DataFrame:
-    """Read a CSV file into a :class:`DataFrame`."""
-    header = read_header(path)
-    if usecols is not None:
-        unknown = [c for c in usecols if c not in header]
-        if unknown:
-            raise ValueError(f"usecols not in file: {unknown}")
-        wanted = [c for c in header if c in set(usecols)]
-    else:
-        wanted = list(header)
-    positions = [header.index(c) for c in wanted]
+    """Read a CSV file into a :class:`DataFrame`.
 
-    raw: List[List[str]] = [[] for _ in wanted]
-    if byte_range is None:
-        with open(path, newline="") as f:
-            reader = csv.reader(f)
-            next(reader)  # header
-            for i, row in enumerate(reader):
-                if nrows is not None and i >= nrows:
-                    break
-                for out, pos in zip(raw, positions):
-                    out.append(row[pos])
-    else:
-        for row in _iter_byte_range(path, byte_range):
-            for out, pos in zip(raw, positions):
-                out.append(row[pos])
-            if nrows is not None and len(raw[0]) >= nrows:
-                break
+    With ``byte_range=(start, end)`` only the data rows whose first byte
+    lies in ``[start, end)`` are read, so the ranges of
+    :func:`scan_partitions` return every row exactly once.
+    """
+    with open(path, "rb") as f:
+        header = _read_header(f)
+        if usecols is not None:
+            unknown = [c for c in usecols if c not in header]
+            if unknown:
+                raise ValueError(f"usecols not in file: {unknown}")
+            wanted = [c for c in header if c in set(usecols)]
+        else:
+            wanted = list(header)
+        positions = [header.index(c) for c in wanted]
+        end = None
+        if byte_range is not None:
+            end = byte_range[1]
+            _seek_line(f, max(f.tell(), byte_range[0]))
+        raw = _read_cells(f, len(header), positions, nrows, end)
 
     dtype = dtype or {}
     parse_set = set(parse_dates or [])
@@ -84,16 +95,18 @@ def read_csv(
 
 
 def read_header(path: str) -> List[str]:
-    """Column names from the first line."""
-    with open(path, newline="") as f:
-        return next(csv.reader(f))
+    """Column names from the first record."""
+    with open(path, "rb") as f:
+        return _read_header(f)
 
 
 def scan_partitions(path: str, n_partitions: int) -> List[Tuple[int, int]]:
     """Split the data region of a CSV into ~equal byte ranges.
 
     Ranges are aligned downstream to newline boundaries by the reader, so
-    every row lands in exactly one partition.
+    every row lands in exactly one partition.  As in dask, a boundary that
+    falls inside a quoted field holding a newline is not detected: the
+    reader takes the line after that newline for the start of a row.
     """
     size = os.path.getsize(path)
     with open(path, "rb") as f:
@@ -112,27 +125,141 @@ def scan_partitions(path: str, n_partitions: int) -> List[Tuple[int, int]]:
     return ranges
 
 
-def _iter_byte_range(path: str, byte_range: Tuple[int, int]):
-    """Yield parsed rows whose *start offset* lies in [start, end).
+def _lines(f: BinaryIO) -> Iterator[str]:
+    for line in iter(f.readline, b""):
+        yield line.decode("utf-8")
 
-    Standard partitioned-CSV convention: a reader seeks to ``start``,
-    discards the (possibly partial) line in progress unless at a line
-    boundary, then reads rows until its position passes ``end``.
+
+def _read_header(f: BinaryIO) -> List[str]:
+    """The header record; leaves ``f`` at the first data byte.
+
+    ``csv.reader`` pulls one line at a time and never reads ahead, so
+    the handle stops exactly where the header record ends.
     """
-    start, end = byte_range
-    with open(path, "rb") as f:
-        f.seek(start)
-        if start > 0:
-            f.seek(start - 1)
-            if f.read(1) != b"\n":
-                f.readline()  # finish the partial line; it belongs upstream
-        while f.tell() < end:
-            line = f.readline()
-            if not line:
-                break
-            text = line.decode("utf-8").rstrip("\r\n")
-            if text:
-                yield next(csv.reader([text]))
+    header = next(csv.reader(_lines(f)), None)
+    if header is None:
+        raise ValueError(f"{f.name}: empty CSV file, no header")
+    return header
+
+
+def _seek_line(f: BinaryIO, start: int) -> None:
+    """Position ``f`` at the first line that starts at or after ``start``.
+
+    Standard partitioned-CSV convention: a partial line in progress at
+    ``start`` belongs to the range before it.
+    """
+    f.seek(start - 1)
+    if f.read(1) != b"\n":
+        f.readline()
+
+
+def _read_cells(
+    f: BinaryIO,
+    ncols: int,
+    positions: List[int],
+    nrows: Optional[int],
+    end: Optional[int],
+) -> List[List[str]]:
+    """The projected cells of each row from ``f``'s position on.
+
+    Reads rows whose first byte lies before ``end`` (to EOF when None),
+    at most ``nrows`` of them, one bounded block at a time.
+    """
+    raw: List[List[str]] = [[] for _ in positions]
+    have = 0
+    pos = f.tell()
+    while (end is None or pos < end) and (nrows is None or have < nrows):
+        # every line starting in the block lies before ``end``
+        block = f.read(BLOCK_BYTES if end is None else min(BLOCK_BYTES, end - pos))
+        if not block:
+            break
+        if not block.endswith(b"\n"):
+            block += f.readline()
+        limit = None if nrows is None else nrows - have
+        tokens = _tokenize_block(block, ncols, positions, limit)
+        if tokens is None:
+            f.seek(pos)
+            _stream_cells(f, raw, positions, limit, end)
+            break
+        rows, cells = tokens
+        for out, values in zip(raw, cells):
+            out.extend(values)
+        have += rows
+        pos += len(block)
+    return raw
+
+
+def _tokenize_block(
+    block: bytes, ncols: int, positions: List[int], limit: Optional[int]
+) -> Optional[Tuple[int, List[List[str]]]]:
+    """``(rows, projected cells)`` of a line-aligned block, or None to
+    fall back.
+
+    A block qualifies when ``csv.reader`` would split it at exactly its
+    ``,`` and ``\n`` bytes: ASCII, no quote character, no NUL, every
+    ``\r`` part of a CRLF, and every line holding ``ncols`` non-blank
+    fields.
+    """
+    if not block.isascii() or b'"' in block or b"\0" in block:
+        return None
+    if not block.endswith(b"\n"):
+        block += b"\n"  # last line of a file without a trailing newline
+    buf = np.frombuffer(block, dtype=np.uint8)
+    is_lf = buf == _LF
+    delims = np.flatnonzero(is_lf | (buf == _COMMA))
+    if delims.size % ncols:
+        return None
+    delims = delims.reshape(-1, ncols)
+    line_ends = delims[:, -1]
+    # every line's last delimiter is its LF, and no LF is anywhere else
+    if not is_lf[line_ends].all() or np.count_nonzero(is_lf) != line_ends.size:
+        return None
+    crlf = buf[line_ends - 1] == _CR
+    if b"\r" in block and np.count_nonzero(buf == _CR) != np.count_nonzero(crlf):
+        return None  # a CR that does not end a line
+    line_starts = np.empty_like(line_ends)
+    line_starts[0] = 0
+    line_starts[1:] = line_ends[:-1] + 1
+    field_ends = line_ends - crlf  # a CRLF line's last field stops at the CR
+    if ncols == 1 and (field_ends == line_starts).any():
+        return None  # blank line: csv.reader yields no row for it
+    rows = line_ends.size if limit is None else min(line_ends.size, limit)
+    text = block.decode("ascii")
+    cells = []
+    for p in positions:
+        starts = line_starts if p == 0 else delims[:, p - 1] + 1
+        stops = field_ends if p == ncols - 1 else delims[:, p]
+        cells.append([
+            text[i:j]
+            for i, j in zip(starts[:rows].tolist(), stops[:rows].tolist())
+        ])
+    return rows, cells
+
+
+def _stream_cells(
+    f: BinaryIO,
+    raw: List[List[str]],
+    positions: List[int],
+    nrows: Optional[int],
+    end: Optional[int],
+) -> None:
+    """Append the projected cells of the rest of the read via one
+    ``csv.reader``, so a quoted record may span lines and blocks.
+
+    The reader never reads ahead, so ``f.tell()`` before each record is
+    that record's first byte.
+    """
+    reader = csv.reader(_lines(f))
+    have = 0
+    while (end is None or f.tell() < end) and (nrows is None or have < nrows):
+        row = next(reader, None)
+        if row is None:
+            break
+        if not row:
+            continue  # blank line
+        for out, p in zip(raw, positions):
+            out.append(row[p])
+        have += 1
 
 
 def _infer_column(values: List[str]) -> Column:

@@ -59,22 +59,12 @@ class CsvSource(DataSource):
             options.get("partition_bytes") or DEFAULT_PARTITION_BYTES
         )
         self._schema: Optional[List[str]] = None
-        self._full_span: Optional[tuple] = None
         self._parts: Optional[List[Partition]] = None
 
     def schema(self) -> List[str]:
         if self._schema is None:
             self._schema = read_header(self.path)
         return self._schema
-
-    def full_span(self) -> tuple:
-        """The whole data region ``(data_start, file_size)``."""
-        if self._full_span is None:
-            size = os.path.getsize(self.path)
-            with open(self.path, "rb") as f:
-                f.readline()  # header
-                self._full_span = (f.tell(), size)
-        return self._full_span
 
     def partitions(self) -> List[Partition]:
         if self._parts is not None:
@@ -101,18 +91,13 @@ class CsvSource(DataSource):
 
     def read_partition(self, partition, columns=None, predicate=None):
         read_cols = self._read_columns(columns, predicate)
-        nrows = self.options.get("nrows")
-        byte_range = partition.byte_range
-        if nrows is not None or byte_range == self.full_span():
-            # a single whole-file partition takes the bulk parser path
-            byte_range = None
         frame = read_csv(
             self.path,
             usecols=read_cols,
             dtype=self.options.get("dtype"),
             parse_dates=self.options.get("parse_dates"),
-            nrows=nrows,
-            byte_range=byte_range,
+            nrows=self.options.get("nrows"),
+            byte_range=partition.byte_range,
         )
         return self._finish(frame, columns, predicate)
 

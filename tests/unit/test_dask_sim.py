@@ -1,9 +1,12 @@
 """Unit tests for the Dask simulator: lazy partitioned execution."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.backends import BackendUnsupported, DaskBackend
+from repro.backends.dask_sim import compute as compute_module
 from repro.backends.dask_sim.frame import DaskFrame
 from repro.frame import DataFrame, read_csv
 from repro.memory import memory_manager
@@ -162,6 +165,30 @@ class TestMerges:
         out = lazy.merge(dim, on="k").compute()
         assert len(out) == 500
         assert "label" in out.columns
+
+    def test_broadcast_side_read_once_per_pass(self, backend, wide_csv, make_csv):
+        dim_path = make_csv(
+            {"k": list(range(20)), "label": [f"L{i}" for i in range(20)]},
+            "dim.csv",
+        )
+        lazy = backend.read_csv(path=wide_csv)
+        dim = backend.read_csv(path=dim_path)
+        assert lazy.npartitions > 1 and dim.npartitions == 1
+        joined = lazy.merge(dim, on="k")
+        reads = []
+        real = compute_module.read_csv
+
+        def counting(path, **kwargs):
+            reads.append(path)
+            return real(path, **kwargs)
+
+        with mock.patch.object(compute_module, "read_csv", counting):
+            out = joined.compute()
+            assert reads.count(dim_path) == 1
+            assert len(joined) == 500  # a second pass reads it again
+            assert reads.count(dim_path) == 2
+        expected = read_csv(wide_csv).merge(read_csv(dim_path), on="k")
+        assert out["label"].to_list() == expected["label"].to_list()
 
     def test_shuffle_merge_matches_eager(self, backend, make_csv):
         n = 300
