@@ -36,6 +36,10 @@ class Backend:
     #: happens once at the roots.
     is_lazy = False
 
+    def close(self) -> None:
+        """Release what the backend keeps across collects (spill files).
+        The backend stays usable."""
+
     # -- frame construction ----------------------------------------------
 
     def read_csv(self, **kwargs):

@@ -198,3 +198,7 @@ class DaskBackend(Backend):
         if isinstance(value, (DaskFrame, DaskSeries)):
             return value.persist()
         return value
+
+    def close(self) -> None:
+        """Drop the stored partitions and their spill directory."""
+        self.store.close()

@@ -6,14 +6,19 @@ budget tightens, least-recently-used partitions are pickled to a temporary
 directory and their tracked bytes released; access transparently loads
 them back.  This is the mechanism that lets the Dask backend run 9-of-10
 programs on the largest dataset in Figure 12.
+
+The directory is made on the first spill and removed, files and all, by
+:meth:`PartitionStore.close` or when the store is collected.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import shutil
 import tempfile
 import threading
+import weakref
 from typing import Dict, Optional
 
 from repro.memory import current_memory_manager
@@ -72,13 +77,25 @@ class PartitionHandle:
 class PartitionStore:
     """LRU registry of spillable partitions."""
 
-    def __init__(self, directory: Optional[str] = None):
-        self.directory = directory or tempfile.mkdtemp(prefix="lafp-spill-")
+    def __init__(self):
         self._lock = threading.Lock()
+        self._directory: Optional[str] = None
+        self._finalizer: Optional[weakref.finalize] = None
         self._clock = 0
         self._last_used: Dict[int, int] = {}
         self._handles: Dict[int, PartitionHandle] = {}
         self.spill_count = 0
+
+    @property
+    def directory(self) -> str:
+        """The spill directory, made on first use."""
+        with self._lock:
+            if self._directory is None:
+                self._directory = tempfile.mkdtemp(prefix="lafp-spill-")
+                self._finalizer = weakref.finalize(
+                    self, _remove_directory, self._directory, os.getpid()
+                )
+            return self._directory
 
     def put(self, value) -> PartitionHandle:
         handle = PartitionHandle(self, value)
@@ -148,6 +165,23 @@ class PartitionStore:
             self._last_used.clear()
         for handle in handles:
             handle.drop()
+
+    def close(self) -> None:
+        """Drop every partition and remove the spill directory; a later
+        spill makes a new one."""
+        self.clear()
+        with self._lock:
+            finalizer, self._finalizer = self._finalizer, None
+            self._directory = None
+        if finalizer is not None:
+            finalizer()
+
+
+def _remove_directory(path: str, owner_pid: int) -> None:
+    # A forked child inherits the finalizer; only the process that made
+    # the directory may remove it.
+    if os.getpid() == owner_pid:
+        shutil.rmtree(path, ignore_errors=True)
 
 
 def _value_nbytes(value) -> int:

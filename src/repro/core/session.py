@@ -278,14 +278,18 @@ class Session:
             _shutdown_pool(pool)
 
     def close(self) -> None:
-        """Release the session's external resources (worker pools).
+        """Release the session's external resources: worker pools, and
+        each engine's stored partitions and spill files.
 
         Idempotent; the session remains usable afterwards (pools are
-        recreated on demand).  ``with Session(...)`` blocks do *not*
-        close on exit -- a session can be re-entered -- so servers that
-        own long-lived sessions call this explicitly.
+        recreated on demand), but a lazy engine's persisted partitions
+        are gone.  ``with Session(...)`` blocks do *not* close on exit
+        -- a session can be re-entered -- so servers that own
+        long-lived sessions call this explicitly.
         """
         self.close_pool()
+        for engine in list(self._engines.values()):
+            engine.backend.close()
 
     # -- activation --------------------------------------------------------
 

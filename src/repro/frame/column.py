@@ -57,7 +57,10 @@ class Column:
 
     Memory model: the column owns its flat buffer (8 B/row pointers for
     object arrays, raw bytes otherwise); heap payloads live in a
-    :class:`_HeapStore` shared with derived columns (``shares=``).
+    :class:`_HeapStore` shared with derived columns (``shares=``).  An
+    object column's payload is :func:`~repro.frame.dtypes.object_nbytes`
+    less the pointers, unless the caller already knows it and passes it
+    as ``heap_nbytes`` (the CSV parser charges it from cell lengths).
     """
 
     __slots__ = ("values", "categories", "_buffer", "_store", "_owns_store")
@@ -67,6 +70,7 @@ class Column:
         values: np.ndarray,
         categories: Optional[np.ndarray] = None,
         shares: Optional[_HeapStore] = None,
+        heap_nbytes: Optional[int] = None,
     ):
         self.values = values
         self.categories = categories
@@ -82,7 +86,9 @@ class Column:
             self._store = _HeapStore(array_nbytes(categories))
             self._owns_store = True
         elif values.dtype == object:
-            self._store = _HeapStore(max(0, array_nbytes(values) - own))
+            if heap_nbytes is None:
+                heap_nbytes = max(0, array_nbytes(values) - own)
+            self._store = _HeapStore(heap_nbytes)
             self._owns_store = True
         else:
             self._store = None
@@ -121,17 +127,23 @@ class Column:
         return arr
 
     @classmethod
-    def from_strings_as_category(cls, values: np.ndarray) -> "Column":
-        """Dictionary-encode an object array of strings.
+    def from_strings_as_category(
+        cls, values: np.ndarray, na: Optional[np.ndarray] = None
+    ) -> "Column":
+        """Dictionary-encode an array of strings.
 
-        ``None`` entries become the NA code.
+        Without ``na``, ``values`` is an object array whose ``None``
+        entries are NA.  With it, ``values`` is a ``str`` (``U``) or
+        object array holding ``""`` wherever the ``na`` mask is set.
+        NA entries get the NA code.
         """
-        mask = np.array([v is None for v in values], dtype=bool)
-        filled = np.where(mask, "", values)
-        categories, codes = np.unique(filled.astype(object), return_inverse=True)
+        if na is None:
+            na = np.array([v is None for v in values], dtype=bool)
+            values = np.where(na, "", values)
+        categories, codes = np.unique(values, return_inverse=True)
         codes = codes.astype(np.int32)
-        codes[mask] = NA_CODE
-        return cls(codes, categories=categories)
+        codes[na] = NA_CODE
+        return cls(codes, categories=categories.astype(object, copy=False))
 
     @classmethod
     def from_codes(cls, codes: np.ndarray, categories: np.ndarray) -> "Column":

@@ -10,20 +10,39 @@
 - ``byte_range``   -- partitioned reads for the Dask-like backend.
 
 Parsing is projection-aware, so reading 3 of 22 columns costs about
-3/22 of the tokenizing.  The reader takes line-aligned blocks of about
-:data:`BLOCK_BYTES` raw bytes.  A block that is ASCII, has no ``"``,
-ends its lines in LF or CRLF and has exactly ``len(header)`` fields on
-every line is tokenized by one numpy pass over its ``,``/``\n`` bytes;
-only the projected columns are then sliced out of the decoded block.
+3/22 of the parse.  The reader takes line-aligned blocks of about
+:data:`BLOCK_BYTES` raw bytes.  A block that is ASCII, has no ``"`` or
+NUL, ends its lines in LF or CRLF and has exactly ``len(header)`` fields
+on every line is tokenized by one numpy pass over its ``,``/``\\n``
+bytes.  Each projected column's cells are then copied straight from
+their ``(start, stop)`` byte offsets into one fixed-width bytes (``S``)
+array by a single gather, with no Python string per cell.  The gather
+is rows x widest cell; a column for which that exceeds
+:data:`GATHER_SLACK` times the block's bytes (a few very wide cells) is
+sliced into ``str`` cells instead, and the blocks of a column are joined
+under the same bound.
+
 The first block that does not qualify hands the rest of the read to one
 stdlib ``csv.reader`` (quoted fields, embedded newlines, non-ASCII text,
-ragged rows); on a qualifying block both give the same cells.  Line ends
-are LF or CRLF (a bare CR is not a line end).  Blank lines are skipped;
-a row too short to hold a projected column raises ``IndexError``.
-Type inference tries int64 -> float64 -> object per
-column, mirroring pandas defaults (dates stay strings unless
+ragged rows); on a qualifying block both give the same cells.  Its cells
+stay ``str`` objects in an object array: a numpy string array would drop
+a cell's trailing NULs.  Line ends are LF or CRLF (a bare CR is not a
+line end).  Blank lines are skipped; a row too short to hold a projected
+column raises ``IndexError``.
+
+Conversion is typed and runs on the whole column array at once; an empty
+cell is NA.  With no declared dtype, inference tries int64 -> float64 ->
+object, mirroring pandas defaults (dates stay strings unless
 ``parse_dates`` asks for them -- the paper's metadata optimization exists
-precisely because inference is this naive).
+precisely because inference is this naive).  Numbers and dates are
+parsed by numpy ``astype``, ``category`` is one ``np.unique`` over the
+cells.  An object column's simulated string bytes
+(:func:`repro.frame.dtypes.object_nbytes`'s rule) are charged from the
+cell lengths the tokenizer already has, so no string is walked twice.
+
+:func:`read_header` is memoized per file version, so the schema readers
+(sources, the dask simulator, the metastore, plan analysis) share one
+read of each header.
 """
 
 from __future__ import annotations
@@ -33,17 +52,32 @@ import os
 from typing import BinaryIO, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.frame.column import Column
 from repro.frame.dataframe import DataFrame
-from repro.frame.dtypes import CategoricalDtype, is_categorical, normalize_dtype
+from repro.frame.dtypes import STRING_OVERHEAD, is_categorical, normalize_dtype
 from repro.frame.series import Series
 
 #: Raw bytes per tokenizer block, before rounding up to the end of a line.
 #: Bounded so a large file never sits in memory whole.
 BLOCK_BYTES = 1 << 20
 
+#: A column's fixed-width cell array (rows x widest cell) may take at most
+#: this many times the bytes of the blocks it came from; past that its
+#: cells are kept as ``str`` objects, so one very wide cell cannot
+#: inflate a whole column to its width.
+GATHER_SLACK = 4
+
 _COMMA, _LF, _CR = ord(","), ord("\n"), ord("\r")
+
+#: cells a ``bool`` column reads as True.
+_TRUE_CELLS = ("True", "true", "1")
+
+#: (path, mtime_ns, size) -> header columns.  Keyed by file identity so
+#: an overwritten file misses; bounded by clearing.
+_HEADER_CACHE: Dict[Tuple[str, int, int], Tuple[str, ...]] = {}
+_HEADER_CACHE_MAX = 256
 
 
 def read_csv(
@@ -75,18 +109,20 @@ def read_csv(
         if byte_range is not None:
             end = byte_range[1]
             _seek_line(f, max(f.tell(), byte_range[0]))
-        raw = _read_cells(f, len(header), positions, nrows, end)
+        cells = _read_cells(f, len(header), positions, nrows, end)
 
     dtype = dtype or {}
     parse_set = set(parse_dates or [])
     columns: Dict[str, Column] = {}
-    for name, values in zip(wanted, raw):
+    for name, column_cells in zip(wanted, cells):
         if name in parse_set:
-            columns[name] = _parse_datetime(values)
+            target = np.dtype("datetime64[ns]")
         elif name in dtype:
-            columns[name] = _convert_with_dtype(values, dtype[name])
+            target = normalize_dtype(dtype[name])
         else:
-            columns[name] = _infer_column(values)
+            target = None
+        # one column's raw cells alive at a time beside the converted ones
+        columns[name] = _convert(*column_cells.finish(), target)
 
     frame = DataFrame.from_columns(columns)
     if index_col is not None:
@@ -95,9 +131,17 @@ def read_csv(
 
 
 def read_header(path: str) -> List[str]:
-    """Column names from the first record."""
-    with open(path, "rb") as f:
-        return _read_header(f)
+    """Column names from the first record, read once per file version."""
+    stat = os.stat(path)
+    key = (str(path), stat.st_mtime_ns, stat.st_size)
+    header = _HEADER_CACHE.get(key)
+    if header is None:
+        with open(path, "rb") as f:
+            header = tuple(_read_header(f))
+        if len(_HEADER_CACHE) >= _HEADER_CACHE_MAX:
+            _HEADER_CACHE.clear()
+        _HEADER_CACHE[key] = header
+    return list(header)
 
 
 def scan_partitions(path: str, n_partitions: int) -> List[Tuple[int, int]]:
@@ -153,19 +197,55 @@ def _seek_line(f: BinaryIO, start: int) -> None:
         f.readline()
 
 
+class _ColumnCells:
+    """One projected column's cells, collected block by block.
+
+    Each piece is a fixed-width ``S`` array gathered from a qualifying
+    block or an object array of ``str``.
+    """
+
+    __slots__ = ("pieces", "block_bytes")
+
+    def __init__(self) -> None:
+        self.pieces: List[np.ndarray] = []
+        #: bytes of the blocks the ``S`` pieces were gathered from
+        self.block_bytes = 0
+
+    def finish(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(cells, their lengths in characters)``, dropping the
+        pieces: one ``S`` array when every piece is one and the joined
+        width stays in bound, else one object array."""
+        pieces, self.pieces = self.pieces, []
+        if not pieces:
+            return np.zeros(0, dtype="S1"), np.zeros(0, dtype=np.int64)
+        if all(p.dtype.kind == "S" for p in pieces):
+            rows = sum(map(len, pieces))
+            width = max(p.itemsize for p in pieces)
+            if rows * width <= GATHER_SLACK * self.block_bytes:
+                values = _join(pieces)
+                # exact: a gathered cell holds no NUL
+                return values, np.strings.str_len(values)
+        values = _join([_widen(p).astype(object) for p in pieces])
+        return values, np.fromiter(map(len, values), np.int64, len(values))
+
+
+def _join(arrays: List[np.ndarray]) -> np.ndarray:
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
 def _read_cells(
     f: BinaryIO,
     ncols: int,
     positions: List[int],
     nrows: Optional[int],
     end: Optional[int],
-) -> List[List[str]]:
-    """The projected cells of each row from ``f``'s position on.
+) -> List[_ColumnCells]:
+    """The cells of each projected column from ``f``'s position on.
 
     Reads rows whose first byte lies before ``end`` (to EOF when None),
     at most ``nrows`` of them, one bounded block at a time.
     """
-    raw: List[List[str]] = [[] for _ in positions]
+    columns = [_ColumnCells() for _ in positions]
     have = 0
     pos = f.tell()
     while (end is None or pos < end) and (nrows is None or have < nrows):
@@ -179,25 +259,29 @@ def _read_cells(
         tokens = _tokenize_block(block, ncols, positions, limit)
         if tokens is None:
             f.seek(pos)
-            _stream_cells(f, raw, positions, limit, end)
+            streamed = _stream_cells(f, positions, limit, end)
+            for column, values in zip(columns, streamed):
+                column.pieces.append(np.array(values, dtype=object))
             break
         rows, cells = tokens
-        for out, values in zip(raw, cells):
-            out.extend(values)
+        for column, values in zip(columns, cells):
+            column.pieces.append(values)
+            if values.dtype.kind == "S":
+                column.block_bytes += len(block)
         have += rows
         pos += len(block)
-    return raw
+    return columns
 
 
 def _tokenize_block(
     block: bytes, ncols: int, positions: List[int], limit: Optional[int]
-) -> Optional[Tuple[int, List[List[str]]]]:
-    """``(rows, projected cells)`` of a line-aligned block, or None to
-    fall back.
+) -> Optional[Tuple[int, List[np.ndarray]]]:
+    """``(rows, cells of each projected column)`` of a line-aligned
+    block, or None to fall back.
 
     A block qualifies when ``csv.reader`` would split it at exactly its
-    ``,`` and ``\n`` bytes: ASCII, no quote character, no NUL, every
-    ``\r`` part of a CRLF, and every line holding ``ncols`` non-blank
+    ``,`` and ``\\n`` bytes: ASCII, no quote character, no NUL, every
+    ``\\r`` part of a CRLF, and every line holding ``ncols`` non-blank
     fields.
     """
     if not block.isascii() or b'"' in block or b"\0" in block:
@@ -205,8 +289,13 @@ def _tokenize_block(
     if not block.endswith(b"\n"):
         block += b"\n"  # last line of a file without a trailing newline
     buf = np.frombuffer(block, dtype=np.uint8)
+    # the block-sized masks are dropped as soon as they are used, so they
+    # are not held beside the gathered cells
     is_lf = buf == _LF
-    delims = np.flatnonzero(is_lf | (buf == _COMMA))
+    is_delim = buf == _COMMA
+    is_delim |= is_lf
+    delims = np.flatnonzero(is_delim)
+    del is_delim
     if delims.size % ncols:
         return None
     delims = delims.reshape(-1, ncols)
@@ -214,6 +303,7 @@ def _tokenize_block(
     # every line's last delimiter is its LF, and no LF is anywhere else
     if not is_lf[line_ends].all() or np.count_nonzero(is_lf) != line_ends.size:
         return None
+    del is_lf
     crlf = buf[line_ends - 1] == _CR
     if b"\r" in block and np.count_nonzero(buf == _CR) != np.count_nonzero(crlf):
         return None  # a CR that does not end a line
@@ -224,31 +314,47 @@ def _tokenize_block(
     if ncols == 1 and (field_ends == line_starts).any():
         return None  # blank line: csv.reader yields no row for it
     rows = line_ends.size if limit is None else min(line_ends.size, limit)
-    text = block.decode("ascii")
-    cells = []
+    spans = []
     for p in positions:
-        starts = line_starts if p == 0 else delims[:, p - 1] + 1
-        stops = field_ends if p == ncols - 1 else delims[:, p]
-        cells.append([
-            text[i:j]
-            for i, j in zip(starts[:rows].tolist(), stops[:rows].tolist())
-        ])
+        starts = (line_starts if p == 0 else delims[:, p - 1] + 1)[:rows]
+        stops = (field_ends if p == ncols - 1 else delims[:, p])[:rows]
+        spans.append((starts, stops - starts))
+    widths = [max(1, int(lengths.max())) for _, lengths in spans]
+    bound = GATHER_SLACK * len(block)
+    # pad so every gathered window, even the last cell's, lies in the buffer
+    pad = max([w for w in widths if rows * w <= bound], default=0)
+    padded = np.frombuffer(block + bytes(pad), dtype=np.uint8)
+    cells = []
+    text = None
+    for (starts, lengths), width in zip(spans, widths):
+        if rows * width <= bound:
+            gathered = sliding_window_view(padded, width)[starts]
+            gathered[np.arange(width) >= lengths[:, None]] = 0
+            values = gathered.view(f"S{width}").ravel()
+        else:
+            if text is None:
+                text = block.decode("ascii")
+            values = np.array(
+                [text[i:i + n] for i, n in zip(starts.tolist(), lengths.tolist())],
+                dtype=object,
+            )
+        cells.append(values)
     return rows, cells
 
 
 def _stream_cells(
     f: BinaryIO,
-    raw: List[List[str]],
     positions: List[int],
     nrows: Optional[int],
     end: Optional[int],
-) -> None:
-    """Append the projected cells of the rest of the read via one
+) -> List[List[str]]:
+    """The projected cells of the rest of the read via one
     ``csv.reader``, so a quoted record may span lines and blocks.
 
     The reader never reads ahead, so ``f.tell()`` before each record is
     that record's first byte.
     """
+    raw: List[List[str]] = [[] for _ in positions]
     reader = csv.reader(_lines(f))
     have = 0
     while (end is None or f.tell() < end) and (nrows is None or have < nrows):
@@ -260,69 +366,74 @@ def _stream_cells(
         for out, p in zip(raw, positions):
             out.append(row[p])
         have += 1
+    return raw
 
 
-def _infer_column(values: List[str]) -> Column:
-    """int64 -> float64 -> object inference with '' as NA."""
-    has_empty = any(v == "" for v in values)
-    if not has_empty:
+def _convert(values: np.ndarray, lengths: np.ndarray, target) -> Column:
+    """The column of one projected column's cells.
+
+    ``target`` is a normalized dtype, or None to infer int64 -> float64
+    -> object.  Empty cells are NA.
+    """
+    empty = lengths == 0
+    if target is None:
+        if not empty.any():
+            try:
+                return Column(values.astype(np.int64))
+            except (ValueError, OverflowError):
+                pass
         try:
-            return Column(np.asarray(values, dtype=np.int64))
-        except (ValueError, OverflowError):
+            return Column(_floats(values, empty))
+        except ValueError:
             pass
-    try:
-        arr = np.asarray(
-            [("nan" if v == "" else v) for v in values], dtype=np.float64
-        )
-        return Column(arr)
-    except ValueError:
-        pass
-    obj = np.asarray(values, dtype=object)
-    if has_empty:
-        obj = np.where(obj == "", None, obj)
-    return Column(obj)
-
-
-def _convert_with_dtype(values: List[str], dtype_spec) -> Column:
-    target = normalize_dtype(dtype_spec)
+        return _strings(values, lengths, empty)
     if is_categorical(target):
-        arr = np.asarray(values, dtype=object)
-        arr = np.where(arr == "", None, arr)
-        col = Column.from_strings_as_category(arr)
-        if isinstance(target, CategoricalDtype) and target.categories is not None:
-            # Re-encode against the declared category set.
-            return Column.from_values(col.to_array(), dtype=target)
-        return col
+        return Column.from_strings_as_category(_widen(values), na=empty)
     if target.kind == "f":
-        arr = np.asarray(
-            [("nan" if v == "" else v) for v in values], dtype=np.float64
-        )
-        return Column(arr)
+        return Column(_floats(values, empty))
     if target.kind == "i":
         try:
-            return Column(np.asarray(values, dtype=np.int64))
+            return Column(values.astype(np.int64))
         except ValueError:
             # NA present: silently promote, as pandas does for int columns.
-            arr = np.asarray(
-                [("nan" if v == "" else v) for v in values], dtype=np.float64
-            )
-            return Column(arr)
+            return Column(_floats(values, empty))
     if target.kind == "M":
-        return _parse_datetime(values)
+        return Column(values.astype("datetime64[ns]"))  # empty -> NaT
     if target.kind == "b":
-        arr = np.asarray(
-            [v in ("True", "true", "1") for v in values], dtype=bool
-        )
-        return Column(arr)
-    obj = np.asarray(values, dtype=object)
-    obj = np.where(obj == "", None, obj)
-    return Column(obj)
+        return Column(np.isin(values, [_like(values, v) for v in _TRUE_CELLS]))
+    return _strings(values, lengths, empty)
 
 
-def _parse_datetime(values: List[str]) -> Column:
-    cleaned = ["NaT" if v == "" else v for v in values]
-    arr = np.asarray(cleaned, dtype="datetime64[ns]")
-    return Column(arr)
+def _like(values: np.ndarray, text: str):
+    """``text`` as a scalar of ``values``' kind (bytes for ``S``)."""
+    return text.encode("ascii") if values.dtype.kind == "S" else text
+
+
+def _floats(values: np.ndarray, empty: np.ndarray) -> np.ndarray:
+    """The cells as float64, NaN where empty."""
+    if empty.any():
+        values = np.where(empty, _like(values, "nan"), values)
+    return values.astype(np.float64)
+
+
+def _widen(values: np.ndarray) -> np.ndarray:
+    """An ASCII ``S`` array as a ``U`` array, each byte widened to one
+    code point; any other array as it is."""
+    if values.dtype.kind != "S":
+        return values
+    width = values.dtype.itemsize
+    codes = values.view(np.uint8).reshape(-1, width).astype(np.uint32)
+    return codes.view(f"U{width}").ravel()
+
+
+def _strings(values: np.ndarray, lengths: np.ndarray, empty: np.ndarray) -> Column:
+    """An object column of ``str`` (None for NA), its string payload
+    charged from the cell lengths rather than by walking the strings."""
+    out = _widen(values).astype(object, copy=False)
+    out[empty] = None
+    present = lengths.size - int(np.count_nonzero(empty))
+    heap = int(lengths.sum()) + STRING_OVERHEAD * present
+    return Column(out, heap_nbytes=heap)
 
 
 def to_datetime(data: Union[Series, Sequence[str]]) -> Series:

@@ -33,7 +33,7 @@ def reset() -> None:
     """Fresh backend/store (called by the runner between programs)."""
     global _backend
     if _backend is not None:
-        _backend.store.clear()
+        _backend.close()
     _backend = None
 
 

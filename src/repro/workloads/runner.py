@@ -575,10 +575,7 @@ class Runner:
     def _cleanup_engines(self, session: Session) -> None:
         from repro.workloads import dask_compat
 
-        for engine in session._engines.values():
-            store = getattr(engine.backend, "store", None)
-            if store is not None:
-                store.clear()
+        session.close()
         dask_compat.reset()
 
     def cleanup(self) -> None:

@@ -1,13 +1,19 @@
 """Unit tests for the Dask simulator: lazy partitioned execution."""
 
+import gc
+import os
+import tempfile
 from unittest import mock
 
 import numpy as np
 import pytest
 
+import repro.lazyfatpandas.pandas as lfp
 from repro.backends import BackendUnsupported, DaskBackend
 from repro.backends.dask_sim import compute as compute_module
+from repro.backends.dask_sim import store as store_module
 from repro.backends.dask_sim.frame import DaskFrame
+from repro.core.session import Session
 from repro.frame import DataFrame, read_csv
 from repro.memory import memory_manager
 
@@ -295,3 +301,63 @@ class TestPersistAndSpill:
             b.store.clear()
         finally:
             memory_manager.budget = None
+
+
+def spill_dirs(root):
+    return [name for name in os.listdir(root) if name.startswith("lafp-spill-")]
+
+
+class TestSpillDirectory:
+    @pytest.fixture
+    def spill_root(self, tmp_path, monkeypatch):
+        root = tmp_path / "tmp"
+        root.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(root))
+        return root
+
+    def test_made_on_first_spill_only(self, spill_root, wide_csv):
+        b = DaskBackend(partition_bytes=2_000)
+        assert len(b.read_csv(path=wide_csv).persist().compute()) == 500
+        assert spill_dirs(spill_root) == []
+        b.store.spill_all()
+        assert len(spill_dirs(spill_root)) == 1
+        b.close()
+        assert spill_dirs(spill_root) == []
+
+    def test_forced_spill_collect_leaves_nothing_once_session_closed(
+        self, spill_root, wide_csv
+    ):
+        with Session(backend="dask") as s:
+            df = lfp.read_csv(wide_csv)
+            df = df[df.k >= 0].persist()
+            store = s._engines["dask"].backend.store
+            store.spill_all()  # every persisted partition goes to disk
+            assert store.spill_count > 0
+            assert spill_dirs(spill_root)
+            counts = df.groupby("g")["k"].count().collect()
+            assert sum(counts.to_list()) == 500
+        s.close()
+        assert spill_dirs(spill_root) == []
+
+    def test_directory_removed_when_store_collected(self, spill_root, wide_csv):
+        b = DaskBackend(partition_bytes=2_000)
+        b.read_csv(path=wide_csv).persist()
+        b.store.spill_all()
+        assert spill_dirs(spill_root)
+        del b
+        gc.collect()
+        assert spill_dirs(spill_root) == []
+
+    def test_finalizer_in_another_process_leaves_directory(
+        self, spill_root, wide_csv
+    ):
+        b = DaskBackend(partition_bytes=2_000)
+        pinned = b.read_csv(path=wide_csv).persist()
+        b.store.spill_all()
+        # a forked child inherits the finalizer; running it there (as
+        # collecting its copy of the store would) must not touch the
+        # parent's directory
+        with mock.patch.object(store_module.os, "getpid", return_value=-1):
+            b.store._finalizer()
+        assert spill_dirs(spill_root)
+        assert len(pinned.compute()) == 500  # spilled partitions load back

@@ -72,7 +72,6 @@ MUTABLE_GLOBAL_ALLOWLIST = {
     ("analysis/plan/rules.py", "BUILTIN_RULES"),
     ("analysis/plan/schema.py", "_NUMERIC_DTYPES"),
     ("analysis/plan/schema.py", "_UNKNOWN_SCHEMAS"),
-    ("analysis/plan/schema.py", "_HEADER_CACHE"),
     ("analysis/plan/schema.py", "SCHEMA_RULES"),
     ("analysis/rewrite/forced_compute.py", "_LAZY_KINDS"),
     ("backends/base.py", "_BINOPS"),
@@ -86,6 +85,7 @@ MUTABLE_GLOBAL_ALLOWLIST = {
     ("core/optimizer/projection.py", "_PASSTHROUGH"),
     ("core/optimizer/projection.py", "_FRAME_OPS"),
     ("frame/dtypes.py", "_ALIASES"),
+    ("frame/io_csv.py", "_HEADER_CACHE"),
     ("graph/explain.py", "_ELIDED_ARGS"),
     ("graph/explain.py", "_SCAN_SPECIAL"),
     ("graph/node.py", "OPS"),
