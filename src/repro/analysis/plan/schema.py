@@ -269,33 +269,6 @@ def _columns_arg(node: Node, key: str) -> Optional[List[str]]:
 # -- sources ----------------------------------------------------------------
 
 
-@schema_rule("read_csv")
-def _read_csv_schema(node, inputs, ctx) -> NodeSchema:
-    from repro.frame.io_csv import read_header
-
-    path = node.args.get("path")
-    try:
-        columns = read_header(path)
-    except (OSError, TypeError):
-        return NodeSchema.unknown(FRAME)
-    if node.args.get("usecols") is not None:
-        wanted = set(node.args["usecols"])
-        columns = [c for c in columns if c in wanted]
-    dtypes = ctx.file_dtypes(path)
-    for name, spec in (node.args.get("dtype") or {}).items():
-        norm = normalize_dtype(spec)
-        if norm:
-            dtypes[name] = norm
-    for name in node.args.get("parse_dates") or ():
-        dtypes[name] = "datetime64[ns]"
-    index: Tuple[str, ...] = ()
-    index_col = node.args.get("index_col")
-    if index_col is not None and index_col in columns:
-        columns = [c for c in columns if c != index_col]
-        index = (index_col,)
-    return NodeSchema.frame(columns, dtypes, index=index)
-
-
 @schema_rule("scan")
 def _scan_schema(node, inputs, ctx) -> NodeSchema:
     schema = ctx.source_schema(node.args)

@@ -4,7 +4,7 @@ A backend supplies frame-like objects that implement the eager frame API
 (:mod:`repro.frame`'s method names).  :func:`apply_generic` executes most
 operators by plain method calls on those objects, so the three backends
 share one dispatch table; a backend overrides only what differs
-(``read_csv`` partitioning, unsupported ops).
+(how a ``scan`` is partitioned, unsupported ops).
 
 When a backend raises :class:`BackendUnsupported`, the caller converts the
 inputs to eager frames, runs the operation there, and converts the result
@@ -15,13 +15,50 @@ from __future__ import annotations
 
 import operator
 import re
-from typing import Callable, Dict, List
+import sys
+from typing import Callable, Dict, List, Optional
 
 from repro.graph.node import Node
 
 #: Escape sequence wrapping a task-graph node id inside an f-string
 #: (section 3.3's deferred formatted print).
 MARKER_PATTERN = re.compile("\x00LAFP:(\\d+)\x00")
+
+#: ``partition_bytes`` that makes a byte-range source one partition.
+WHOLE_FILE = sys.maxsize
+
+
+def resolve_scan_source(args: dict, partition_bytes: Optional[int]):
+    """The :class:`~repro.io.source.DataSource` a ``scan`` node reads.
+
+    An unpruned scan is chunked to ``partition_bytes`` (the engine's
+    choice) unless its args name their own; a pruned scan keeps the
+    source's default chunking, which its kept partition indices refer
+    to.  The metastore must be the one the optimizer pruned against:
+    sub-file partition stats change the partition SET (one piece per
+    byte range), so resolving without it would misalign the indices.
+    """
+    from repro.core.session import current_session
+    from repro.io import resolve_source
+
+    if args.get("partitions") is None and partition_bytes is not None:
+        args = {"partition_bytes": partition_bytes, **args}
+    return resolve_source(args, metastore=current_session().metastore)
+
+
+def budget_partition_bytes(default: int) -> int:
+    """Memory-aware partition sizing (Dask's ``blocksize="auto"``).
+
+    A partition's in-memory footprint is a small multiple of its source
+    bytes; keep roughly 24 working partitions inside the budget so one
+    in-flight partition plus partial aggregates always fit.
+    """
+    from repro.memory import current_memory_manager
+
+    budget = current_memory_manager().budget
+    if budget is None:
+        return default
+    return min(default, max(1 << 12, budget // 24))
 
 
 class BackendUnsupported(Exception):
@@ -42,25 +79,22 @@ class Backend:
 
     # -- frame construction ----------------------------------------------
 
-    def read_csv(self, **kwargs):
-        raise NotImplementedError
-
     def scan(self, args: dict):
         """Execute a generic ``scan`` node: resolve the source named by
         ``args['format']`` through the source registry and materialize
         the selected partitions (projection and folded predicate applied
         inside the source).  Eager backends concatenate the per-partition
         frames; partitioned backends override to keep the pieces apart.
-        """
-        from repro.core.session import current_session
-        from repro.frame.concat import concat_consuming
-        from repro.io import Predicate, resolve_source
 
-        # the metastore must match the one the optimizer pruned against:
-        # sub-file partition stats change the partition SET (one piece
-        # per byte range), so resolving without it would misalign the
-        # pruned partition indices.
-        source = resolve_source(args, metastore=current_session().metastore)
+        An unpruned, unstreamed CSV scan is read as one whole-file range:
+        the eager engine holds the whole frame anyway, so chunking would
+        only add a concat.
+        """
+        from repro.frame.concat import concat_consuming
+        from repro.io import Predicate
+
+        whole = args.get("format") == "csv" and not args.get("stream")
+        source = resolve_scan_source(args, WHOLE_FILE if whole else None)
         predicate = Predicate.from_arg(args.get("predicate"))
         if args.get("stream"):
             # the shuffle lowering marked this scan: its sole consumer
@@ -189,8 +223,6 @@ def apply_generic(backend: Backend, node: Node, inputs: List[object]):
     op = node.op
     args = node.args
 
-    if op == "read_csv":
-        return backend.read_csv(**args)
     if op == "scan":
         return backend.scan(args)
     if op == "from_data":

@@ -7,19 +7,19 @@ backend" (section 2.6).  Materialization happens once per root;
 ``persist()`` pins shared subexpressions (section 3.5).
 
 Incompatibility handling reproduces the paper's example: ``read_csv`` has
-no ``index_col`` on Dask, so the adapter issues a ``set_index`` after the
-read instead.  Ops the simulator refuses (``sort_values``, ``describe``,
-...) fall back to pandas via the base class.
+no ``index_col`` on Dask, so a ``set_index`` follows the scan instead.
+Ops the simulator refuses (``sort_values``, ``describe``, ...) fall back
+to pandas via the base class.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Optional
-
-from repro.backends.base import Backend
+from repro.backends.base import (
+    Backend,
+    budget_partition_bytes,
+    resolve_scan_source,
+)
 from repro.backends.dask_sim.compute import Evaluator
-from repro.backends.dask_sim.expr import read_csv_expr
 from repro.backends.dask_sim.frame import (
     DaskCollection,
     DaskFrame,
@@ -29,25 +29,9 @@ from repro.backends.dask_sim.frame import (
 )
 from repro.backends.dask_sim.store import PartitionStore
 from repro.frame import DataFrame, Series
-from repro.frame.io_csv import read_header, scan_partitions
 
 #: Target bytes of CSV per partition (scaled-down analogue of Dask's 64 MB).
 DEFAULT_PARTITION_BYTES = 1 << 20
-
-
-def _auto_partition_bytes(default: int) -> int:
-    """Memory-aware partition sizing (Dask's ``blocksize="auto"``).
-
-    A partition's in-memory footprint is a small multiple of its CSV
-    bytes; keep roughly 24 working partitions inside the budget so one
-    in-flight partition plus partial aggregates always fit.
-    """
-    from repro.memory import current_memory_manager
-
-    budget = current_memory_manager().budget
-    if budget is None:
-        return default
-    return min(default, max(1 << 12, budget // 24))
 
 
 class DaskBackend(Backend):
@@ -61,60 +45,17 @@ class DaskBackend(Backend):
         self.store = PartitionStore()
         self.evaluator = Evaluator(self.store)
 
-    def read_csv(
-        self,
-        path: str,
-        usecols=None,
-        dtype=None,
-        parse_dates=None,
-        index_col: Optional[str] = None,
-        nrows=None,
-        **kwargs,
-    ) -> DaskFrame:
-        kwargs.pop("read_only_cols", None)
-        kwargs.pop("mutated_cols", None)
-        ranges = scan_partitions(
-            path,
-            int(max(1, os.path.getsize(path) // _auto_partition_bytes(self.partition_bytes))),
-        )
-        expr = read_csv_expr(
-            path,
-            ranges,
-            usecols=list(usecols) if usecols is not None else None,
-            dtype=dtype,
-            parse_dates=list(parse_dates) if parse_dates is not None else None,
-        )
-        columns = (
-            [c for c in read_header(path) if usecols is None or c in set(usecols)]
-        )
-        frame = DaskFrame(expr, self.evaluator, columns=columns)
-        if index_col is not None:
-            # Dask's read_csv lacks index_col; emulate via set_index.
-            frame = frame.set_index(index_col)
-        return frame
-
     def scan(self, args: dict) -> DaskFrame:
         """Generic source scan, kept lazy: one expression partition per
         source partition, so depth-first evaluation streams pieces
-        through the elementwise pipeline exactly like ``read_csv``.
-        Partition sizing respects the same memory-aware target."""
+        through the elementwise pipeline.  Partition sizing follows the
+        memory-aware target."""
         from repro.backends.dask_sim.expr import scan_expr
-        from repro.io import Predicate, resolve_source
+        from repro.io import Predicate
 
-        options = dict(args)
-        if args.get("partitions") is None:
-            # Memory-aware re-chunking is only safe on an UNPRUNED scan:
-            # pruned partition indices were computed by the optimizer
-            # against the source's own chunking, so re-chunking here
-            # would make them select the wrong byte ranges.
-            options.setdefault(
-                "partition_bytes", _auto_partition_bytes(self.partition_bytes)
-            )
-        from repro.core.session import current_session
-
-        # same metastore the optimizer pruned with: sub-file partition
-        # stats change the partition set, not just its statistics.
-        source = resolve_source(options, metastore=current_session().metastore)
+        source = resolve_scan_source(
+            args, budget_partition_bytes(self.partition_bytes)
+        )
         parts = source.select_partitions(args.get("partitions"))
         columns = args.get("columns")
         predicate = Predicate.from_arg(args.get("predicate"))

@@ -1,7 +1,7 @@
 """Evaluator for the Dask-simulator expression graph.
 
 Evaluation is depth-first per partition: asking for partition ``i`` of a
-blockwise pipeline reads partition ``i`` of the CSV, runs the whole
+blockwise pipeline reads partition ``i`` of the source, runs the whole
 elementwise chain on it, and releases it before partition ``i+1`` starts.
 Combined with spilling (:mod:`repro.backends.dask_sim.store`) this yields
 out-of-core execution.
@@ -21,9 +21,8 @@ import numpy as np
 
 from repro.frame import DataFrame, concat
 from repro.frame.concat import concat_consuming
-from repro.frame.io_csv import read_csv
 from repro.memory import SimulatedMemoryError
-from repro.backends.dask_sim.expr import Expr, materialized_expr
+from repro.backends.dask_sim.expr import Expr, materialized_expr, walk
 from repro.backends.dask_sim.store import PartitionStore
 
 
@@ -39,21 +38,27 @@ class Evaluator:
     # -- public API --------------------------------------------------------
 
     def materialize(self, expr: Expr):
-        """Concatenate all partitions of ``expr`` into one eager value.
-
-        The partitions are temporaries, so the consuming concat releases
-        each piece's buffers as they merge.
-        """
+        """Concatenate all partitions of ``expr`` into one eager value."""
         parts = []
         with self.evaluation_pass():
             for i in range(expr.npartitions):
                 parts.append(self._guarded(self.eval_partition, expr, i))
                 self.store.ensure_headroom()
+        return self._concat(parts, expr)
+
+    def _concat(self, parts: list, source: Expr):
+        """One value from the partition pieces of ``source``.
+        Temporaries go through the consuming concat, which releases each
+        input column as it merges; pieces the store still holds (a
+        persisted node's partitions, passed through unchanged) are shared
+        with later consumers, so they are copied instead."""
         if len(parts) == 1:
             return parts[0]
-        if isinstance(parts[0], DataFrame):
-            return self._guarded(concat_consuming, parts)
-        return concat(parts)
+        if not isinstance(parts[0], DataFrame):
+            return concat(parts)
+        if _holds_stored(source, parts):
+            return self._guarded(concat, parts)
+        return concat_consuming(parts, relieve=self._relieve)
 
     def persist(self, expr: Expr) -> Expr:
         """Compute every partition and pin it in the (spillable) store."""
@@ -88,16 +93,18 @@ class Evaluator:
         try:
             return func(*args)
         except SimulatedMemoryError:
-            self._broadcast.clear()
-            self.store.spill_all()
+            self._relieve()
             return func(*args)
+
+    def _relieve(self) -> None:
+        """OOM recovery: drop held broadcast sides, spill the store."""
+        self._broadcast.clear()
+        self.store.spill_all()
 
     # -- partition evaluation -----------------------------------------------
 
     def eval_partition(self, expr: Expr, i: int):
         kind = expr.kind
-        if kind == "read_csv":
-            return self._read_partition(expr, i)
         if kind == "scan":
             return self._scan_partition(expr, i)
         if kind == "materialized":
@@ -146,16 +153,6 @@ class Evaluator:
             predicate=params["predicate"],
         )
 
-    def _read_partition(self, expr: Expr, i: int):
-        params = expr.params
-        return read_csv(
-            params["path"],
-            usecols=params.get("usecols"),
-            dtype=params.get("dtype"),
-            parse_dates=params.get("parse_dates"),
-            byte_range=params["byte_ranges"][i],
-        )
-
     def _eval_tree(self, expr: Expr):
         child = expr.children[0]
         map_func = expr.params["map"]
@@ -164,13 +161,7 @@ class Evaluator:
             partials.append(map_func(part))
             del part
             self.store.ensure_headroom()
-        if len(partials) == 1:
-            combined = partials[0]
-        elif isinstance(partials[0], DataFrame):
-            combined = concat_consuming(partials)
-        else:
-            combined = concat(partials)
-        return expr.params["combine"](combined)
+        return expr.params["combine"](self._concat(partials, child))
 
     def _eval_concat_partition(self, expr: Expr, i: int):
         offset = 0
@@ -239,6 +230,17 @@ class Evaluator:
             del part
             self.store.ensure_headroom()
         return buckets, template
+
+
+def _holds_stored(expr: Expr, values: list) -> bool:
+    """Is any of ``values`` the stored value of a handle under one of
+    ``expr``'s ``materialized`` inputs?"""
+    ids = {id(v) for v in values}
+    return any(
+        id(handle.resident) in ids
+        for node in walk(expr) if node.kind == "materialized"
+        for handle in node.params["handles"]
+    )
 
 
 def _merge_keys(kwargs: dict):

@@ -3,7 +3,7 @@
 Kinds:
 
 =============== ============================================================
-``read_csv``     byte-range partitioned CSV source
+``scan``         partitions of a :class:`~repro.io.source.DataSource`
 ``materialized`` partitions already computed (``persist()`` / shuffles)
 ``from_pandas``  eager frame split into row partitions
 ``blockwise``    partition-aligned map over child partitions (elementwise
@@ -68,26 +68,6 @@ def scan_expr(source, partitions, columns=None, predicate=None) -> Expr:
             "predicate": predicate,
         },
         npartitions=max(1, len(partitions)),
-    )
-
-
-def read_csv_expr(
-    path: str,
-    byte_ranges: Sequence[tuple],
-    usecols=None,
-    dtype=None,
-    parse_dates=None,
-) -> Expr:
-    return Expr(
-        "read_csv",
-        params={
-            "path": path,
-            "byte_ranges": list(byte_ranges),
-            "usecols": usecols,
-            "dtype": dtype,
-            "parse_dates": parse_dates,
-        },
-        npartitions=len(byte_ranges),
     )
 
 

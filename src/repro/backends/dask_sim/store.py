@@ -45,6 +45,12 @@ class PartitionHandle:
     def in_memory(self) -> bool:
         return self._value is not None
 
+    @property
+    def resident(self):
+        """The in-memory value (shared with every reader), or ``None``
+        while spilled."""
+        return self._value
+
     def get(self):
         """The partition value, loading from disk if spilled."""
         self._store.touch(self)

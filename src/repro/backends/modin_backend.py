@@ -9,13 +9,17 @@ thus LaFP optimizations are even more important").
 
 from __future__ import annotations
 
-from repro.backends.base import Backend
+from repro.backends.base import (
+    Backend,
+    budget_partition_bytes,
+    resolve_scan_source,
+)
 from repro.backends.modin_sim.frame import (
     ModinFrame,
     ModinSeries,
     _resplit,
     _split_series,
-    modin_read_csv,
+    read_source,
 )
 from repro.frame import DataFrame, Series, concat, to_datetime
 
@@ -32,11 +36,24 @@ class ModinBackend(Backend):
     def __init__(self, partition_bytes: int = DEFAULT_PARTITION_BYTES):
         self.partition_bytes = partition_bytes
 
-    def read_csv(self, path: str, **kwargs) -> ModinFrame:
-        kwargs.pop("read_only_cols", None)
-        kwargs.pop("mutated_cols", None)
-        kwargs.pop("nrows", None)
-        return modin_read_csv(path, self.partition_bytes, **kwargs)
+    def scan(self, args: dict):
+        """Read a ``scan`` node's partitions eagerly on the worker pool,
+        dictionary-encoding strings per partition (Arrow's model), at
+        the memory-aware partition size.  Streamed scans take the base
+        path."""
+        if args.get("stream"):
+            return super().scan(args)
+        from repro.io import Predicate
+
+        source = resolve_scan_source(
+            args, budget_partition_bytes(self.partition_bytes)
+        )
+        return read_source(
+            source,
+            source.select_partitions(args.get("partitions")),
+            columns=args.get("columns"),
+            predicate=Predicate.from_arg(args.get("predicate")),
+        )
 
     def from_data(self, data, **kwargs) -> ModinFrame:
         return self.from_pandas(DataFrame(data))

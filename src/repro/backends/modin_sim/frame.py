@@ -16,9 +16,8 @@ from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.backends.base import BackendUnsupported
+from repro.backends.base import BackendUnsupported, budget_partition_bytes
 from repro.frame import DataFrame, Series, concat
-from repro.frame.io_csv import read_csv, scan_partitions
 
 _POOL = ThreadPoolExecutor(
     max_workers=min(4, os.cpu_count() or 1),
@@ -73,32 +72,33 @@ def modin_read_csv(
     dtype=None,
     parse_dates=None,
     index_col: Optional[str] = None,
-    compact_strings: bool = True,
 ) -> "ModinFrame":
     """Partitioned eager CSV read with Arrow-style string compaction."""
-    from repro.memory import current_memory_manager
+    from repro.io import CsvSource
 
-    budget = current_memory_manager().budget
-    if budget is not None:
-        partition_bytes = min(partition_bytes, max(1 << 12, budget // 24))
-    n_partitions = max(1, os.path.getsize(path) // partition_bytes)
-    ranges = scan_partitions(path, int(n_partitions))
+    source = CsvSource(
+        path, dtype=dtype, parse_dates=parse_dates,
+        partition_bytes=budget_partition_bytes(partition_bytes),
+    )
+    frame = read_source(source, source.partitions(), columns=usecols)
+    if index_col is not None:
+        frame = frame.set_index(index_col)
+    return frame
 
-    def _read(byte_range):
-        part = read_csv(
-            path,
-            usecols=usecols,
-            dtype=dtype,
-            parse_dates=parse_dates,
-            byte_range=byte_range,
+
+def read_source(source, parts, columns=None, predicate=None) -> "ModinFrame":
+    """Read ``parts`` of a :class:`~repro.io.source.DataSource` on the
+    worker pool, one row partition each, dictionary-encoding repetitive
+    strings as they land."""
+    if not parts:
+        return ModinFrame([source.empty_frame(columns, predicate=predicate)])
+
+    def _read(part):
+        return _dictionary_encode(
+            source.read_partition(part, columns=columns, predicate=predicate)
         )
-        if compact_strings:
-            part = _dictionary_encode(part)
-        if index_col is not None:
-            part = part.set_index(index_col)
-        return part
 
-    return ModinFrame(_pmap(_read, ranges))
+    return ModinFrame(_pmap(_read, parts))
 
 
 def _dictionary_encode(frame: DataFrame) -> DataFrame:

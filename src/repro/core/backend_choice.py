@@ -5,7 +5,7 @@ use depend on whether the dataframes can fit in memory, which can be
 inferred from the metadata statistics", plus row-order dependence.  This
 module implements it:
 
-- estimate the in-memory footprint of each source read (columns actually
+- estimate the in-memory footprint of each CSV scan (columns actually
   needed, via the metastore's per-column widths),
 - model each backend's memory behaviour (pandas: eager whole-frame with
   a working-copy factor; Modin: dictionary-compressed strings; Dask:
@@ -51,14 +51,14 @@ class BackendEstimate:
 
 
 def estimate_read_bytes(node: Node, metastore, compressed_strings: bool) -> Optional[int]:
-    """In-memory bytes of one ``read_csv`` node, per the metastore."""
+    """In-memory bytes of one CSV ``scan`` node, per the metastore."""
     path = node.args.get("path")
     if path is None or metastore is None:
         return None
     meta = metastore.get(path)
     if meta is None:
         return None
-    columns = node.args.get("usecols") or list(meta.columns)
+    columns = node.args.get("columns") or list(meta.columns)
     total = 0.0
     for name in columns:
         stats = meta.columns.get(name)
@@ -93,7 +93,10 @@ def choose_backend_for_roots(
     paper's default order (pandas fastest when everything fits is
     unknowable, so the lazy default wins: dask).
     """
-    reads = [n for n in collect_subgraph(list(roots)) if n.op == "read_csv"]
+    reads = [
+        n for n in collect_subgraph(list(roots))
+        if n.op == "scan" and n.args.get("format") == "csv"
+    ]
     plain = [estimate_read_bytes(n, metastore, compressed_strings=False) for n in reads]
     packed = [estimate_read_bytes(n, metastore, compressed_strings=True) for n in reads]
     sensitive = order_sensitive(roots)

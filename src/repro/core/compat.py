@@ -13,9 +13,6 @@ old                          new
 ``reset_session(backend)``   ``with Session(backend=...):`` for scoped
                              runs; ``reset_root_session(backend)`` for
                              harnesses that truly need the root replaced
-``read_csv(path, ...)``      ``repro.scan_csv(path, ...)`` -- the
-                             unified source layer (:mod:`repro.io`);
-                             CSV is one registered format among equals
 ===========================  ==========================================
 """
 
@@ -49,25 +46,3 @@ def reset_session(backend: str = "dask"):
     from repro.core.session import reset_root_session
 
     return reset_root_session(backend)
-
-
-def read_csv(path, **kwargs):
-    """Deprecated: the pre-source-layer CSV ingress.
-
-    Kept as a thin shim over the facade's pandas-compat ``read_csv``
-    (which still builds a ``read_csv`` node for pandas-verbatim
-    programs).  New code should use :func:`repro.scan_csv`: a generic
-    ``scan`` node over the registered CSV :class:`~repro.io.DataSource`,
-    which the optimizer can fold projections/predicates into and whose
-    partitions the pruning pass can drop.
-    """
-    warnings.warn(
-        "repro.core.compat.read_csv() is deprecated; use repro.scan_csv() "
-        "(the unified DataSource scan API), or "
-        "repro.lazyfatpandas.pandas.read_csv for pandas-compat programs",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.lazyfatpandas.pandas import read_csv as facade_read_csv
-
-    return facade_read_csv(path, **kwargs)

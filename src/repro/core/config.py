@@ -214,7 +214,8 @@ register_option(
 )
 register_option(
     "optimizer.projection_pushdown", True,
-    doc="Narrow read_csv to the columns the graph actually uses.",
+    doc="Narrow each scan (pd.read_csv included) to the columns the "
+        "graph actually uses.",
     validator=_validate_bool,
 )
 register_option(
@@ -388,8 +389,8 @@ def _validate_source_format(value: object) -> None:
 register_option(
     "workload.source_format", None,
     doc="Physical source format benchmark programs read (the runner's "
-        "--source-format axis): None/'csv' keeps the plain read_csv "
-        "path; 'jsonl'/'dataset'/'columnar' reroutes pd.read_csv "
+        "--source-format axis): None/'csv' scans the CSV file itself; "
+        "'jsonl'/'dataset'/'columnar' reroutes pd.read_csv "
         "through the matching scan source when the sibling dataset "
         "variant exists.",
     validator=_validate_source_format,

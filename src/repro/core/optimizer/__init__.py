@@ -7,8 +7,9 @@ order chosen so each rule sees the previous rule's output:
    merge, so shared work is recognized before anything moves;
 2. **predicate pushdown** (section 3.2) -- filters move toward sources
    past safe points;
-3. **projection pushdown** -- required-column inference narrows
-   ``read_csv`` nodes that static analysis could not rewrite;
+3. **projection pushdown** -- required-column inference narrows the
+   ``columns`` of ``scan`` nodes (``pd.read_csv`` builds one) that
+   static analysis could not rewrite;
 4. **metadata optimization** (section 3.6) -- dtype hints and safe
    ``category`` encoding from the metastore;
 5. **persistence marking** (section 3.5) -- nodes shared between the

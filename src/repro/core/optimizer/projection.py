@@ -4,9 +4,9 @@ Static analysis (section 3.1) already injects ``usecols`` where the whole
 program is analysable.  This runtime pass is the complement for graphs
 built purely dynamically: it propagates a *required-column* set backward
 from the roots to each source, with per-operator transfer functions, and
-terminates by narrowing the source itself: ``usecols`` on ``read_csv``
-nodes, or the ``columns`` arg folded into a generic ``scan`` node when
-its registered source format declares ``supports_projection``.
+terminates by narrowing the source itself: the ``columns`` arg folded
+into a ``scan`` node whose registered source format declares
+``supports_projection`` (``pd.read_csv`` builds such a scan).
 
 Conservative by construction: any operator whose column flow is unknown
 (merge outputs, UDF apply, prints of whole frames, describe, ...) marks
@@ -34,20 +34,16 @@ def push_down_projections(roots: Sequence[Node]) -> int:
     required = _required_columns(roots, nodes)
     narrowed = 0
     for node in nodes:
-        if node.op == "read_csv":
-            arg_name = "usecols"
-        elif node.op == "scan" and _scan_supports_projection(node):
-            arg_name = "columns"
-        else:
+        if node.op != "scan" or node.args.get("columns") is not None:
             continue
-        if node.args.get(arg_name) is not None:
+        if not _scan_supports_projection(node):
             continue
         needs = required.get(node.id)
         if needs is None or ALL_COLUMNS in needs:
             continue
         if not needs:
             continue  # degenerate; leave untouched
-        node.args[arg_name] = sorted(needs)
+        node.args["columns"] = sorted(needs)
         narrowed += 1
     return narrowed
 
@@ -84,7 +80,7 @@ def _required_columns(
             out_req = out_req | {ALL_COLUMNS}
 
         op = node.op
-        if op in ("read_csv", "scan", "from_data", "from_pandas"):
+        if op in ("scan", "from_data", "from_pandas"):
             continue
         if op == "getitem_column":
             demand(node.inputs[0], {node.args["column"]})
@@ -173,8 +169,7 @@ def _print_demand(node: Node) -> Set[str]:
 
 
 _FRAME_OPS = {
-    "read_csv", "scan", "from_data", "from_pandas",
-    "getitem_columns", "filter", "setitem",
+    "scan", "from_data", "from_pandas", "getitem_columns", "filter", "setitem",
     "dropna", "fillna", "astype", "rename", "drop", "sort_values",
     "sort_index", "drop_duplicates", "head", "tail", "sample", "merge",
     "concat", "nlargest", "nsmallest", "describe", "reset_index",

@@ -7,7 +7,7 @@ filled with NA; dtypes are promoted to the least common type.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -30,7 +30,9 @@ def concat(
     return _concat_frames(objs, ignore_index)
 
 
-def concat_consuming(frames: list) -> Union[DataFrame, Series]:
+def concat_consuming(
+    frames: list, relieve: Optional[Callable[[], None]] = None,
+) -> Union[DataFrame, Series]:
     """Concatenate temporary frames, releasing inputs column by column.
 
     Used by the partitioned evaluators when the input pieces are
@@ -38,6 +40,11 @@ def concat_consuming(frames: list) -> Union[DataFrame, Series]:
     been merged, so peak memory is ~1.5x the output instead of 2x (the
     difference between passing and OOM for borderline materializations).
     The input frames are left EMPTY -- callers must not reuse them.
+
+    A failed call leaves its inputs half consumed, so it cannot be
+    retried as a whole.  ``relieve``, when given, is called once on a
+    :class:`MemoryError` merging one column, and that column is retried:
+    the columns not yet merged are still whole at that point.
     """
     if isinstance(frames[0], Series):
         out = _concat_series(frames, ignore_index=True)
@@ -46,7 +53,15 @@ def concat_consuming(frames: list) -> Union[DataFrame, Series]:
     names = list(frames[0].columns)
     columns = {}
     for name in names:
-        columns[name] = Column.concat([f.column(name) for f in frames])
+        pieces = [f.column(name) for f in frames]
+        try:
+            columns[name] = Column.concat(pieces)
+        except MemoryError:
+            if relieve is None:
+                raise
+            relieve()
+            columns[name] = Column.concat(pieces)
+        del pieces  # or the merged pieces outlive the pops below
         for f in frames:
             f._columns.pop(name, None)
     frames.clear()

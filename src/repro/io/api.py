@@ -80,14 +80,21 @@ def scan_csv(
     read_only_cols: Optional[Sequence[str]] = None,
     mutated_cols: Optional[Sequence[str]] = None,
 ) -> LazyFrame:
-    """Lazy CSV scan (the ``read_csv`` path behind the source protocol)."""
+    """Lazy CSV scan; ``pd.read_csv`` lowers to this.
+
+    ``read_only_cols`` / ``mutated_cols`` are the static analyzer's
+    kill-set hints for the metadata pass; an empty list is a result
+    (nothing read-only / nothing mutated), so only ``None`` drops them.
+    """
     return scan_source(
         "csv", path, usecols=usecols, index_col=index_col,
         dtype=dict(dtype) if dtype else None,
         parse_dates=list(parse_dates) if parse_dates else None,
         nrows=nrows, partition_bytes=partition_bytes,
-        read_only_cols=list(read_only_cols) if read_only_cols else None,
-        mutated_cols=list(mutated_cols) if mutated_cols else None,
+        read_only_cols=(
+            list(read_only_cols) if read_only_cols is not None else None
+        ),
+        mutated_cols=list(mutated_cols) if mutated_cols is not None else None,
     )
 
 

@@ -54,7 +54,6 @@ from repro.core.config import (
 )
 from repro.core.lazyframe import LazyFrame, LazyObject, LazySeries
 from repro.core.session import Session, current_session, reset_root_session
-from repro.frame.io_csv import read_header
 from repro.graph.node import Node
 from repro.io.api import (
     from_pandas,
@@ -250,7 +249,10 @@ def read_csv(
     read_only_cols: Optional[Sequence[str]] = None,
     mutated_cols: Optional[Sequence[str]] = None,
 ) -> LazyFrame:
-    """Lazy CSV read.
+    """Lazy CSV read: a ``scan(format="csv")`` node (see
+    :func:`repro.io.api.scan_csv`), so the paper's entry point gets the
+    same projection/predicate folding, pruning and backend choice as
+    every other source.
 
     ``read_only_cols`` / ``mutated_cols`` carry the static analyzer's
     kill-set result (section 3.6): either the columns proven read-only,
@@ -264,38 +266,17 @@ def read_csv(
     matching scan source -- the program text stays pandas-verbatim while
     the bytes come from JSONL or a hive-partitioned dataset.
     """
-    session = current_session()
     rerouted = _reroute_by_source_format(
-        session, path, usecols=usecols, dtype=dtype,
+        current_session(), path, usecols=usecols, dtype=dtype,
         parse_dates=parse_dates, nrows=nrows, index_col=index_col,
     )
     if rerouted is not None:
         return rerouted
-    args = {"path": path}
-    if usecols is not None:
-        args["usecols"] = list(usecols)
-    if dtype is not None:
-        args["dtype"] = dict(dtype)
-    if parse_dates is not None:
-        args["parse_dates"] = list(parse_dates)
-    if nrows is not None:
-        args["nrows"] = nrows
-    if index_col is not None:
-        args["index_col"] = index_col
-    if read_only_cols is not None:
-        args["read_only_cols"] = list(read_only_cols)
-    if mutated_cols is not None:
-        args["mutated_cols"] = list(mutated_cols)
-    node = Node("read_csv", args=args, label=f"read_csv {path}")
-    try:
-        columns = read_header(path)
-        if usecols is not None:
-            columns = [c for c in columns if c in set(usecols)]
-        if index_col is not None:
-            columns = [c for c in columns if c != index_col]
-    except OSError:
-        columns = None
-    return LazyFrame(session.register(node), session, columns=columns)
+    return scan_csv(
+        path, usecols=usecols, dtype=dtype, parse_dates=parse_dates,
+        nrows=nrows, index_col=index_col, read_only_cols=read_only_cols,
+        mutated_cols=mutated_cols,
+    )
 
 
 def _reroute_by_source_format(

@@ -4,6 +4,9 @@ Metadata is kept as one JSON file per data file (hashed path name) under a
 store directory (default ``~/.lafp_metastore`` or ``$LAFP_METASTORE``).
 ``get`` returns ``None`` when metadata is missing or stale, so callers can
 fall back to un-hinted reads (the paper: outdated metadata "is not used").
+A store remembers what ``get`` parsed, keyed by the ``(mtime_ns, size)``
+of both the entry file and the data file, so repeated consults during
+one plan cost two ``stat`` calls instead of a JSON parse.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from repro.metastore.stats import FileMetadata, compute_metadata
 
@@ -29,6 +32,10 @@ class MetaStore:
             )
         self.root = root
         os.makedirs(self.root, exist_ok=True)
+        #: entry path -> (entry + data file stats, parsed metadata or None)
+        self._parsed: Dict[
+            str, Tuple[Tuple[int, int, int, int], Optional[FileMetadata]]
+        ] = {}
 
     def _entry_path(self, data_path: str) -> str:
         digest = hashlib.md5(
@@ -39,17 +46,27 @@ class MetaStore:
     def get(self, data_path: str) -> Optional[FileMetadata]:
         """Metadata for ``data_path`` if present and not stale."""
         entry = self._entry_path(data_path)
-        if not os.path.exists(entry) or not os.path.exists(data_path):
+        try:
+            entry_stat = os.stat(entry)
+            data_stat = os.stat(data_path)
+        except OSError:
             return None
+        key = (entry_stat.st_mtime_ns, entry_stat.st_size,
+               data_stat.st_mtime_ns, data_stat.st_size)
+        parsed = self._parsed.get(entry)
+        if parsed is not None and parsed[0] == key:
+            return parsed[1]
         with open(entry) as f:
-            meta = FileMetadata.from_dict(json.load(f))
-        current_mtime = os.path.getmtime(data_path)
-        if abs(current_mtime - meta.mtime) > _MTIME_TOLERANCE:
-            return None  # file changed since metadata was computed
+            meta: Optional[FileMetadata] = FileMetadata.from_dict(json.load(f))
+        if abs(data_stat.st_mtime - meta.mtime) > _MTIME_TOLERANCE:
+            meta = None  # file changed since metadata was computed
+        self._parsed[entry] = (key, meta)
         return meta
 
     def put(self, meta: FileMetadata) -> None:
-        with open(self._entry_path(meta.path), "w") as f:
+        entry = self._entry_path(meta.path)
+        self._parsed.pop(entry, None)
+        with open(entry, "w") as f:
             json.dump(meta.to_dict(), f)
 
     def compute_and_store(
@@ -89,10 +106,12 @@ class MetaStore:
 
     def invalidate(self, data_path: str) -> None:
         entry = self._entry_path(data_path)
+        self._parsed.pop(entry, None)
         if os.path.exists(entry):
             os.remove(entry)
 
     def clear(self) -> None:
+        self._parsed.clear()
         for name in os.listdir(self.root):
             if name.endswith(".json"):
                 os.remove(os.path.join(self.root, name))

@@ -37,8 +37,16 @@ def reset() -> None:
     _backend = None
 
 
-def read_csv(path: str, **kwargs) -> DaskFrame:
-    return _get_backend().read_csv(path=path, **kwargs)
+def read_csv(path: str, usecols=None, index_col=None, **kwargs) -> DaskFrame:
+    args = {"format": "csv", "path": path}
+    if usecols is not None:
+        args["columns"] = list(usecols)
+    args.update((k, v) for k, v in kwargs.items() if v is not None)
+    frame = _get_backend().scan(args)
+    if index_col is not None:
+        # Dask's read_csv lacks index_col; emulate via set_index.
+        frame = frame.set_index(index_col)
+    return frame
 
 
 def DataFrame(data) -> DaskFrame:

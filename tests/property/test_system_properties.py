@@ -42,7 +42,7 @@ class TestDaskEquivalence:
 
         size = os.path.getsize(path)
         backend = DaskBackend(partition_bytes=max(1, size // nparts))
-        lazy = backend.read_csv(path=path).groupby("k")["v"].sum()
+        lazy = backend.scan({"format": "csv", "path": path}).groupby("k")["v"].sum()
         backend.store.clear()
 
         got = dict(zip(lazy.index.to_array(), lazy.values))
@@ -61,7 +61,7 @@ class TestDaskEquivalence:
 
         size = os.path.getsize(path)
         backend = DaskBackend(partition_bytes=max(1, size // nparts))
-        lazy = backend.read_csv(path=path)
+        lazy = backend.scan({"format": "csv", "path": path})
         got = sorted(lazy[lazy["v"] > threshold].compute()["v"].to_list())
         backend.store.clear()
         assert got == expected

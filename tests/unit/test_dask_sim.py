@@ -10,12 +10,21 @@ import pytest
 
 import repro.lazyfatpandas.pandas as lfp
 from repro.backends import BackendUnsupported, DaskBackend
-from repro.backends.dask_sim import compute as compute_module
 from repro.backends.dask_sim import store as store_module
 from repro.backends.dask_sim.frame import DaskFrame
 from repro.core.session import Session
 from repro.frame import DataFrame, read_csv
+from repro.io import CsvSource
 from repro.memory import memory_manager
+
+
+def scan_csv(backend, path, usecols=None, index_col=None):
+    """``backend.scan`` over a CSV file, the node ``pd.read_csv`` builds."""
+    args = {"format": "csv", "path": path}
+    if usecols is not None:
+        args["columns"] = list(usecols)
+    frame = backend.scan(args)
+    return frame if index_col is None else frame.set_index(index_col)
 
 
 @pytest.fixture
@@ -42,29 +51,29 @@ def wide_csv(make_csv):
 
 class TestLazyReads:
     def test_read_is_partitioned_and_lazy(self, backend, wide_csv):
-        frame = backend.read_csv(path=wide_csv)
+        frame = scan_csv(backend, wide_csv)
         assert isinstance(frame, DaskFrame)
         assert frame.npartitions > 1
-        assert frame.expr.kind == "read_csv"
+        assert frame.expr.kind == "scan"
 
     def test_compute_assembles_all_rows(self, backend, wide_csv):
-        frame = backend.read_csv(path=wide_csv)
+        frame = scan_csv(backend, wide_csv)
         assert len(frame.compute()) == 500
 
     def test_len_counts_without_full_concat(self, backend, wide_csv):
-        assert len(backend.read_csv(path=wide_csv)) == 500
+        assert len(scan_csv(backend, wide_csv)) == 500
 
     def test_usecols_pushed_into_partitions(self, backend, wide_csv):
-        frame = backend.read_csv(path=wide_csv, usecols=["k", "v"])
+        frame = scan_csv(backend, wide_csv, usecols=["k", "v"])
         out = frame.compute()
         assert out.columns == ["k", "v"]
 
     def test_index_col_emulated_with_set_index(self, backend, wide_csv):
-        frame = backend.read_csv(path=wide_csv, index_col="pad")
+        frame = scan_csv(backend, wide_csv, index_col="pad")
         assert "pad" not in frame.columns
 
     def test_head_reads_leading_partitions_only(self, backend, wide_csv):
-        frame = backend.read_csv(path=wide_csv)
+        frame = scan_csv(backend, wide_csv)
         head = frame.head(5)
         assert isinstance(head, DataFrame)
         assert len(head) == 5
@@ -72,7 +81,7 @@ class TestLazyReads:
 
 class TestBlockwise:
     def test_filter_matches_eager(self, backend, wide_csv):
-        lazy = backend.read_csv(path=wide_csv)
+        lazy = scan_csv(backend, wide_csv)
         out = lazy[lazy["v"] > 50.0].compute()
         eager = read_csv(wide_csv)
         expected = eager[eager["v"] > 50.0]
@@ -80,23 +89,23 @@ class TestBlockwise:
         assert sorted(out["v"].to_list()) == sorted(expected["v"].to_list())
 
     def test_with_column(self, backend, wide_csv):
-        lazy = backend.read_csv(path=wide_csv)
+        lazy = scan_csv(backend, wide_csv)
         lazy = lazy.with_column("double", lazy["v"] * 2)
         out = lazy.compute()
         assert np.allclose(out["double"].values, out["v"].values * 2)
 
     def test_setitem_mutates_wrapper(self, backend, wide_csv):
-        lazy = backend.read_csv(path=wide_csv)
+        lazy = scan_csv(backend, wide_csv)
         lazy["flag"] = lazy["v"] > 10
         assert "flag" in lazy.columns
 
     def test_str_accessor(self, backend, wide_csv):
-        lazy = backend.read_csv(path=wide_csv)
+        lazy = scan_csv(backend, wide_csv)
         out = lazy["g"].str.upper().compute()
         assert out.values[0].startswith("G")
 
     def test_series_methods(self, backend, wide_csv):
-        lazy = backend.read_csv(path=wide_csv)
+        lazy = scan_csv(backend, wide_csv)
         assert lazy["k"].isin([1, 2]).compute().values.dtype == bool
         assert lazy["v"].between(10, 20).compute().values.dtype == bool
         assert (~(lazy["v"] > 50)).compute().values.dtype == bool
@@ -104,7 +113,7 @@ class TestBlockwise:
     def test_dropna_fillna(self, backend, make_csv):
         path = make_csv({"a": [1.0, np.nan, 3.0] * 30}, "na.csv")
         b = DaskBackend(partition_bytes=200)
-        lazy = b.read_csv(path=path)
+        lazy = scan_csv(b, path)
         assert len(lazy.dropna().compute()) == 60
         filled = lazy.fillna(0.0).compute()
         assert not np.isnan(filled["a"].values).any()
@@ -113,7 +122,7 @@ class TestBlockwise:
 
 class TestAggregations:
     def test_groupby_sum_matches_eager(self, backend, wide_csv):
-        lazy = backend.read_csv(path=wide_csv)
+        lazy = scan_csv(backend, wide_csv)
         out = lazy.groupby("g")["v"].sum()
         eager = read_csv(wide_csv).groupby("g")["v"].sum()
         got = dict(zip(out.index.to_array(), np.round(out.values, 6)))
@@ -121,23 +130,23 @@ class TestAggregations:
         assert got == want
 
     def test_groupby_mean_decomposes(self, backend, wide_csv):
-        lazy = backend.read_csv(path=wide_csv)
+        lazy = scan_csv(backend, wide_csv)
         out = lazy.groupby("g")["v"].mean()
         eager = read_csv(wide_csv).groupby("g")["v"].mean()
         assert np.allclose(np.sort(out.values), np.sort(eager.values))
 
     def test_groupby_size(self, backend, wide_csv):
-        out = backend.read_csv(path=wide_csv).groupby("g").size()
+        out = scan_csv(backend, wide_csv).groupby("g").size()
         assert out.values.sum() == 500
 
     def test_groupby_agg_dict(self, backend, wide_csv):
-        out = backend.read_csv(path=wide_csv).groupby("g").agg(
+        out = scan_csv(backend, wide_csv).groupby("g").agg(
             {"v": "max", "k": "min"}
         )
         assert set(out.columns) == {"v", "k"}
 
     def test_scalar_reductions(self, backend, wide_csv):
-        lazy = backend.read_csv(path=wide_csv)
+        lazy = scan_csv(backend, wide_csv)
         eager = read_csv(wide_csv)
         assert float(lazy["v"].sum().compute()) == pytest.approx(eager["v"].sum())
         assert float(lazy["v"].mean().compute()) == pytest.approx(eager["v"].mean())
@@ -146,27 +155,27 @@ class TestAggregations:
         assert int(lazy["v"].count().compute()) == 500
 
     def test_nunique_and_unique(self, backend, wide_csv):
-        lazy = backend.read_csv(path=wide_csv)
+        lazy = scan_csv(backend, wide_csv)
         assert lazy["g"].nunique() == 7
         assert len(lazy["g"].unique()) == 7
 
     def test_value_counts(self, backend, wide_csv):
-        counts = backend.read_csv(path=wide_csv)["g"].value_counts()
+        counts = scan_csv(backend, wide_csv)["g"].value_counts()
         assert counts.values.sum() == 500
 
     def test_drop_duplicates_tree(self, backend, wide_csv):
-        out = backend.read_csv(path=wide_csv).drop_duplicates(subset=["g"])
+        out = scan_csv(backend, wide_csv).drop_duplicates(subset=["g"])
         assert len(out.compute()) == 7
 
     def test_nlargest_tree(self, backend, wide_csv):
-        out = backend.read_csv(path=wide_csv).nlargest(3, "v").compute()
+        out = scan_csv(backend, wide_csv).nlargest(3, "v").compute()
         eager = read_csv(wide_csv).nlargest(3, "v")
         assert sorted(out["v"].to_list()) == sorted(eager["v"].to_list())
 
 
 class TestMerges:
     def test_broadcast_merge(self, backend, wide_csv):
-        lazy = backend.read_csv(path=wide_csv)
+        lazy = scan_csv(backend, wide_csv)
         dim = DataFrame({"k": list(range(20)), "label": [f"L{i}" for i in range(20)]})
         out = lazy.merge(dim, on="k").compute()
         assert len(out) == 500
@@ -177,18 +186,18 @@ class TestMerges:
             {"k": list(range(20)), "label": [f"L{i}" for i in range(20)]},
             "dim.csv",
         )
-        lazy = backend.read_csv(path=wide_csv)
-        dim = backend.read_csv(path=dim_path)
+        lazy = scan_csv(backend, wide_csv)
+        dim = scan_csv(backend, dim_path)
         assert lazy.npartitions > 1 and dim.npartitions == 1
         joined = lazy.merge(dim, on="k")
         reads = []
-        real = compute_module.read_csv
+        real = CsvSource.read_partition
 
-        def counting(path, **kwargs):
-            reads.append(path)
-            return real(path, **kwargs)
+        def counting(source, partition, **kwargs):
+            reads.append(source.path)
+            return real(source, partition, **kwargs)
 
-        with mock.patch.object(compute_module, "read_csv", counting):
+        with mock.patch.object(CsvSource, "read_partition", counting):
             out = joined.compute()
             assert reads.count(dim_path) == 1
             assert len(joined) == 500  # a second pass reads it again
@@ -211,8 +220,8 @@ class TestMerges:
             "right.csv",
         )
         b = DaskBackend(partition_bytes=500)
-        left = b.read_csv(path=left_path)
-        right = b.read_csv(path=right_path)
+        left = scan_csv(b, left_path)
+        right = scan_csv(b, right_path)
         assert left.npartitions > 1 and right.npartitions > 1
         out = left.merge(right, on="k").compute()
         expected = read_csv(left_path).merge(read_csv(right_path), on="k")
@@ -222,7 +231,7 @@ class TestMerges:
         b.store.clear()
 
     def test_merge_tracks_columns(self, backend, wide_csv):
-        lazy = backend.read_csv(path=wide_csv)
+        lazy = scan_csv(backend, wide_csv)
         dim = DataFrame({"k": [1], "label": ["x"]})
         out = lazy.merge(dim, on="k")
         assert "label" in out.columns
@@ -231,32 +240,83 @@ class TestMerges:
 class TestUnsupportedOps:
     def test_sort_values_raises(self, backend, wide_csv):
         with pytest.raises(BackendUnsupported):
-            backend.read_csv(path=wide_csv).sort_values("v")
+            scan_csv(backend, wide_csv).sort_values("v")
 
     def test_describe_raises(self, backend, wide_csv):
         with pytest.raises(BackendUnsupported):
-            backend.read_csv(path=wide_csv).describe()
+            scan_csv(backend, wide_csv).describe()
 
     def test_iloc_raises(self, backend, wide_csv):
         with pytest.raises(BackendUnsupported):
-            backend.read_csv(path=wide_csv).iloc
+            scan_csv(backend, wide_csv).iloc
 
     def test_apply_without_meta_raises(self, backend, wide_csv):
         with pytest.raises(BackendUnsupported):
-            backend.read_csv(path=wide_csv).apply(lambda r: r, axis=1)
+            scan_csv(backend, wide_csv).apply(lambda r: r, axis=1)
 
     def test_apply_with_meta_works(self, backend, wide_csv):
-        lazy = backend.read_csv(path=wide_csv)
+        lazy = scan_csv(backend, wide_csv)
         out = lazy.apply(lambda row: row["k"] * 2, axis=1, meta="int64")
         assert len(out.compute()) == 500
 
 
 class TestPersistAndSpill:
     def test_persist_materializes(self, backend, wide_csv):
-        lazy = backend.read_csv(path=wide_csv)
+        lazy = scan_csv(backend, wide_csv)
         pinned = lazy.persist()
         assert pinned.expr.kind == "materialized"
         assert len(pinned.compute()) == 500
+
+    def test_persisted_partitions_survive_compute(self, backend, wide_csv):
+        """Materializing a persisted frame must not take apart the
+        partitions the store holds for the next consumer."""
+        pinned = scan_csv(backend, wide_csv).persist()
+        first = pinned.compute()
+        second = pinned.compute()
+        assert second.columns == first.columns == ["k", "v", "g", "pad"]
+        assert second["k"].to_list() == first["k"].to_list()
+
+    def test_shared_frame_survives_a_pandas_fallback(self, wide_csv):
+        """The ``dso`` shape: a frame shared by a sort (which falls back to
+        pandas and materializes it) and a group-by over its partitions."""
+        eager = read_csv(wide_csv)
+        eager = eager.with_column("w", eager["v"] * 2)
+        hot = eager[eager["k"] >= 5]
+        expected = (hot.sort_values("w").head(3)["w"].sum()
+                    + len(hot))
+        with Session(backend="dask"):
+            df = lfp.scan_csv(wide_csv, partition_bytes=2_000)
+            df["w"] = df.v * 2
+            errors = df[df.k >= 5]
+            worst = errors.sort_values("w").head(3)
+            per_g = errors.groupby("g")["k"].count()
+            out = (worst["w"].sum() + per_g.sum()).collect()
+        assert float(out) == pytest.approx(float(expected))
+
+    def test_shared_scan_read_once_per_partition(self, make_csv):
+        """A scan with two consumers is pinned like any shared frame, so
+        each of its partitions is parsed once, not once per consumer."""
+        n = 10_000
+        path = make_csv(
+            {"k": np.arange(n) % 7, "v": np.arange(n) * 1.5}, "shared.csv"
+        )
+        reads = []
+        real = CsvSource.read_partition
+
+        def counting(source, partition, **kwargs):
+            reads.append(partition.index)
+            return real(source, partition, **kwargs)
+
+        with Session(backend="dask"), mock.patch.object(
+            CsvSource, "read_partition", counting
+        ):
+            df = lfp.scan_csv(path, partition_bytes=20_000)
+            df["w"] = df.v * 2
+            out = df.groupby("k")["w"].sum().collect()
+        assert len(set(reads)) == 5
+        assert sorted(reads) == sorted(set(reads))
+        eager = read_csv(path)
+        assert float(sum(out.to_list())) == float((eager["v"] * 2).sum())
 
     def test_spill_under_pressure_still_correct(self, make_csv):
         n = 2000
@@ -273,7 +333,7 @@ class TestPersistAndSpill:
         memory_manager.budget = int(frame_bytes * 0.6)  # cannot hold it all
         try:
             b = DaskBackend(partition_bytes=2_000)
-            lazy = b.read_csv(path=path)
+            lazy = scan_csv(b, path)
             pinned = lazy.persist()  # must spill to fit
             out = pinned.groupby("k")["k"].count()
             assert b.store.spill_count > 0
@@ -295,7 +355,7 @@ class TestPersistAndSpill:
         memory_manager.budget = int(frame_bytes * 0.5)
         try:
             b = DaskBackend(partition_bytes=2_000)
-            lazy = b.read_csv(path=path)
+            lazy = scan_csv(b, path)
             with pytest.raises(MemoryError):
                 lazy.compute()  # full materialization cannot fit
             b.store.clear()
@@ -317,7 +377,7 @@ class TestSpillDirectory:
 
     def test_made_on_first_spill_only(self, spill_root, wide_csv):
         b = DaskBackend(partition_bytes=2_000)
-        assert len(b.read_csv(path=wide_csv).persist().compute()) == 500
+        assert len(scan_csv(b, wide_csv).persist().compute()) == 500
         assert spill_dirs(spill_root) == []
         b.store.spill_all()
         assert len(spill_dirs(spill_root)) == 1
@@ -341,7 +401,7 @@ class TestSpillDirectory:
 
     def test_directory_removed_when_store_collected(self, spill_root, wide_csv):
         b = DaskBackend(partition_bytes=2_000)
-        b.read_csv(path=wide_csv).persist()
+        scan_csv(b, wide_csv).persist()
         b.store.spill_all()
         assert spill_dirs(spill_root)
         del b
@@ -352,7 +412,7 @@ class TestSpillDirectory:
         self, spill_root, wide_csv
     ):
         b = DaskBackend(partition_bytes=2_000)
-        pinned = b.read_csv(path=wide_csv).persist()
+        pinned = scan_csv(b, wide_csv).persist()
         b.store.spill_all()
         # a forked child inherits the finalizer; running it there (as
         # collecting its copy of the store would) must not touch the

@@ -46,7 +46,7 @@ def quickstart_pipeline(path):
 
 
 RAW_PLAN = """\
-N1 read_csv(path=trips.csv, parse_dates=['pickup_time'])
+N1 scan(format='csv', path=trips.csv, parse_dates=['pickup_time'])
 N2 getitem_column(column='pickup_time') <- [N1]
 N3 dt_field(field='hour') <- [N2]
 N4 setitem(column='hour') <- [N1,N3]
@@ -55,19 +55,25 @@ N6 binop(op='>', reflected=False, right=0) <- [N5]
 N7 filter <- [N4,N6]
 N8 groupby_agg(keys=['hour'], column='passengers', func='sum') <- [N7]"""
 
-# With pushdown on: the filter drops below the setitem (N4 filter reads
-# N1 directly), an identity fills the filter's old slot, and the read is
-# narrowed to the three used columns.
+# With pushdown on: the filter drops below the setitem and folds into
+# the scan as its predicate (identities fill the filter's old slots),
+# and the scan is narrowed to the two columns the rest of the plan uses;
+# the pruning pass records partitions read/total.
 OPTIMIZED_PLAN_PUSHDOWN_ON = """\
-N1 read_csv(path=trips.csv, parse_dates=['pickup_time'], usecols=['fare', 'passengers', 'pickup_time'])
-N2 getitem_column(column='fare') <- [N1]
-N3 binop(op='>', reflected=False, right=0) <- [N2]
-N4 filter <- [N1,N3]
-N5 getitem_column(column='pickup_time') <- [N4]
-N6 dt_field(field='hour') <- [N5]
-N7 setitem(column='hour') <- [N4,N6]
-N8 identity <- [N7]
-N9 groupby_agg(keys=['hour'], column='passengers', func='sum') <- [N8]"""
+N1 scan(format='csv', path=trips.csv, parse_dates=['pickup_time'], columns=['passengers', 'pickup_time'], predicate=(fare>0), partitions=1/1)
+N2 identity <- [N1]
+N3 getitem_column(column='pickup_time') <- [N2]
+N4 dt_field(field='hour') <- [N3]
+N5 setitem(column='hour') <- [N2,N4]
+N6 identity <- [N5]
+N7 groupby_agg(keys=['hour'], column='passengers', func='sum') <- [N6]"""
+
+# With pushdown off: no filter motion, no column narrowing; only the
+# pruning pass's partition count is added to the scan.
+OPTIMIZED_PLAN_PUSHDOWN_OFF = RAW_PLAN.replace(
+    "parse_dates=['pickup_time'])",
+    "parse_dates=['pickup_time'], partitions=1/1)",
+)
 
 
 def _sections(text):
@@ -94,8 +100,7 @@ class TestExplainGolden:
             ):
                 raw, optimized = _sections(out.explain())
         assert raw == RAW_PLAN
-        # no filter motion, no usecols narrowing: plan is unchanged
-        assert optimized == RAW_PLAN
+        assert optimized == OPTIMIZED_PLAN_PUSHDOWN_OFF
 
     def test_explain_has_no_side_effects(self, trips_csv):
         """explain() must not change what a later collect computes."""

@@ -1,5 +1,7 @@
 """Unit tests for groupby, merge, sorting, dedup, and concat."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -257,3 +259,28 @@ class TestConcat:
         out = concat_consuming([a, b])
         assert out["x"].to_list() == [1, 2, 3]
         assert a.columns == [] or "x" not in a.columns
+
+    def test_consuming_concat_retries_one_column_after_relief(self):
+        """An OOM mid-way leaves the inputs half consumed: the retry must
+        resume at the failing column, not restart on emptied frames."""
+        from repro.frame.column import Column
+        from repro.frame.concat import concat_consuming
+        from repro.memory import SimulatedMemoryError
+
+        frames = [DataFrame({"x": [1, 2], "y": [5, 6]}),
+                  DataFrame({"x": [3], "y": [7]})]
+        real = Column.concat
+        calls = []
+
+        def flaky(pieces):
+            calls.append(1)
+            if len(calls) == 2:  # the second column's first attempt
+                raise SimulatedMemoryError(8, 0, 0)
+            return real(pieces)
+
+        relieved = []
+        with mock.patch.object(Column, "concat", side_effect=flaky):
+            out = concat_consuming(frames, relieve=lambda: relieved.append(1))
+        assert relieved == [1]
+        assert out.columns == ["x", "y"]
+        assert out["y"].to_list() == [5, 6, 7]

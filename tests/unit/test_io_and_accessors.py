@@ -2,6 +2,7 @@
 
 import os
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from repro.frame import DataFrame, Series, read_csv, to_datetime
 from repro.frame.io_csv import read_header, scan_partitions
 from repro.metastore import MetaStore, compute_metadata
+from repro.metastore.stats import FileMetadata
 
 
 class TestReadCsv:
@@ -272,6 +274,41 @@ class TestMetastore:
         with open(path, "a") as f:
             f.write("3\n")
         assert store.get(path) is None
+
+    def test_repeated_get_parses_once(self, make_csv, tmp_path):
+        path = make_csv({"a": [1, 2]})
+        store = MetaStore(os.path.join(tmp_path, "ms"))
+        store.compute_and_store(path)
+        real = FileMetadata.from_dict
+        with mock.patch.object(
+            FileMetadata, "from_dict", side_effect=real
+        ) as parse:
+            first = store.get(path)
+            for _ in range(5):
+                assert store.get(path) is first
+        assert parse.call_count == 1
+
+    def test_memo_invalidated_by_data_rewrite(self, make_csv, tmp_path):
+        path = make_csv({"a": [1, 2]})
+        store = MetaStore(os.path.join(tmp_path, "ms"))
+        store.compute_and_store(path)
+        assert store.get(path) is not None
+        with open(path, "a") as f:
+            f.write("3\n")  # size changes even within one mtime tick
+        assert store.get(path) is None
+
+    def test_memo_invalidated_by_entry_rewrite(self, make_csv, tmp_path):
+        path = make_csv({"a": [1, 2]})
+        store = MetaStore(os.path.join(tmp_path, "ms"))
+        store.compute_and_store(path)
+        assert store.get(path).n_rows == 2
+        # another store over the same root rewrites the entry behind
+        # this one's back
+        other = MetaStore(os.path.join(tmp_path, "ms"))
+        meta = other.get(path)
+        meta.n_rows = 12345
+        other.put(meta)
+        assert store.get(path).n_rows == 12345
 
     def test_get_or_compute(self, make_csv, tmp_path):
         path = make_csv({"a": [1]})

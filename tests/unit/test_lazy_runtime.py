@@ -25,7 +25,7 @@ def lazy_taxi(taxi_csv):
 class TestLazyConstruction:
     def test_read_csv_is_lazy(self, taxi_csv):
         frame = lazy_taxi(taxi_csv)
-        assert frame.node.op == "read_csv"
+        assert frame.node.op == "scan"
         assert frame.node.result is None
 
     def test_columns_tracked_from_header(self, taxi_csv):
@@ -239,13 +239,13 @@ class TestSession:
         calls = []
         from repro.backends.pandas_backend import PandasBackend
 
-        original = PandasBackend.read_csv
+        original = PandasBackend.scan
 
-        def counting(self, **kwargs):
+        def counting(self, args):
             calls.append(1)
-            return original(self, **kwargs)
+            return original(self, args)
 
-        PandasBackend.read_csv = counting
+        PandasBackend.scan = counting
         try:
             frame = lazy_taxi(taxi_csv)
             frame = frame[frame.fare_amount > 0]
@@ -254,7 +254,7 @@ class TestSession:
             # second compute reuses the persisted filter result: one read
             assert sum(calls) == 1
         finally:
-            PandasBackend.read_csv = original
+            del PandasBackend.scan  # back to the inherited Backend.scan
 
     def test_dead_persists_released(self, taxi_csv):
         frame = lazy_taxi(taxi_csv)

@@ -155,6 +155,6 @@ class TestMemoryBehaviour:
 
     def test_backend_wrapper(self, shop_csv):
         backend = ModinBackend()
-        frame = backend.read_csv(path=shop_csv)
+        frame = backend.scan({"format": "csv", "path": shop_csv})
         assert isinstance(frame, ModinFrame)
         assert isinstance(backend.materialize(frame), DataFrame)

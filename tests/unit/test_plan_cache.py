@@ -155,7 +155,7 @@ class TestFingerprint:
 
     def test_volatile_args_excluded(self, make_csv):
         """The column-prune / pruning passes stamp advisory args
-        (``read_only_cols`` on read_csv, ``est_bytes`` on scan) onto
+        (``read_only_cols`` and ``est_bytes`` on a scan) onto
         nodes; those must not shift the digest."""
         path = make_csv({"x": [1, 2, 3]})
         with Session(backend="pandas") as session:
@@ -164,7 +164,7 @@ class TestFingerprint:
             source = node
             while source.inputs:
                 source = source.inputs[0]
-            assert source.op == "read_csv"
+            assert source.op == "scan"
             source.args["read_only_cols"] = ("x",)
             try:
                 session._fingerprint_cache.clear()

@@ -518,13 +518,13 @@ class TestCollectPersistExplain:
         from repro.backends.pandas_backend import PandasBackend
 
         calls = []
-        original = PandasBackend.read_csv
+        original = PandasBackend.scan
 
-        def counting(self, **kwargs):
+        def counting(self, args):
             calls.append(1)
-            return original(self, **kwargs)
+            return original(self, args)
 
-        PandasBackend.read_csv = counting
+        PandasBackend.scan = counting
         try:
             with Session(backend="pandas"):
                 frame = lfp.read_csv(numbers_csv)
@@ -538,7 +538,7 @@ class TestCollectPersistExplain:
             # one read: every collect reused the pinned filter result
             assert sum(calls) == 1
         finally:
-            PandasBackend.read_csv = original
+            del PandasBackend.scan  # back to the inherited Backend.scan
 
     def test_persist_returns_self_for_chaining(self, numbers_csv):
         with Session(backend="pandas"):

@@ -119,14 +119,15 @@ class TestBuiltinSources:
         assert empty.column("v").to_array().dtype.kind == "i"
 
     def test_backend_byte_range_read(self, make_csv):
-        """PandasBackend.read_csv honors an explicit byte_range instead
-        of silently reading the whole file."""
+        """A pruned CSV scan on PandasBackend reads only its kept byte
+        range instead of silently reading the whole file."""
         from repro.backends.pandas_backend import PandasBackend
-        from repro.frame.io_csv import scan_partitions
 
         path = make_csv({"a": np.arange(200)})
-        first, second = scan_partitions(path, 2)
-        piece = PandasBackend().read_csv(path, byte_range=second)
+        piece = PandasBackend().scan({
+            "format": "csv", "path": path, "partitions": [1],
+            "partition_bytes": os.path.getsize(path) // 2,
+        })
         values = piece.column("a").to_array()
         assert 0 < len(values) < 200
         assert values[-1] == 199 and values[0] > 0
@@ -751,19 +752,22 @@ class TestTopLevelApi:
             total = lfp.from_pandas(frame)["a"].sum()
             assert float(total.collect()) == 15.0
 
-    def test_compat_read_csv_shim_warns(self, make_csv):
-        from repro.core import compat
-
-        path = make_csv({"a": np.arange(3)})
-        with pytest.warns(DeprecationWarning, match="scan_csv"):
-            lf = compat.read_csv(path)
-        assert lf.collect().column("a").to_array().tolist() == [0, 1, 2]
-
     def test_scan_csv_index_col(self, make_csv):
         path = make_csv({"a": np.arange(4), "b": np.arange(4) * 5})
         with Session(backend="pandas"):
             out = lfp.scan_csv(path, index_col="a").collect()
         assert list(out.columns) == ["b"]
+
+    def test_read_csv_index_col_survives_projection(self, make_csv):
+        """``pd.read_csv(index_col=...)`` feeding a narrowed consumer
+        still finds its index column: the scan is followed by a
+        ``set_index`` node, not narrowed past it."""
+        path = make_csv({"id": np.arange(6), "k": np.arange(6) % 2,
+                         "v": np.arange(6) * 1.0})
+        with Session(backend="pandas"):
+            df = lfp.read_csv(path, index_col="id")
+            out = df.groupby("k")["v"].sum().collect()
+        assert out.to_list() == [6.0, 9.0]
 
     def test_sibling_variant_resolution(self, tmp_path):
         csv_path = os.path.join(tmp_path, "d.csv")

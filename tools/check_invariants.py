@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo invariant checks, enforced in CI next to the style linter.
 
-Three structural rules the linters cannot express, checked with nothing
+Four structural rules the linters cannot express, checked with nothing
 but the stdlib ``ast`` module:
 
 1. **No new module-level mutable globals.**  PR 1 killed the global
@@ -23,6 +23,12 @@ but the stdlib ``ast`` module:
    ``used_attrs``; a registration that omits either silently inherits a
    default that over- or under-claims.  Each call must pass both
    keywords explicitly.
+
+4. **One leaf op reads data.**  Files enter the graph only through the
+   generic ``scan`` node (any format, via the source registry); the
+   other source ops wrap values already in memory.  A registration with
+   ``is_source=True`` under any other name fails, so a second
+   file-reading leaf (as ``read_csv`` once was) cannot come back.
 
 Usage::
 
@@ -235,8 +241,38 @@ def check_register_op(tree: ast.Module, rel: str) -> Iterator[str]:
 
 
 # ---------------------------------------------------------------------------
+# check 4: the only source ops are scan and the in-memory wrappers
 
-CHECKS = (check_mutable_globals, check_real_pandas, check_register_op)
+#: op names allowed to register ``is_source=True``.
+SOURCE_OPS = frozenset({"scan", "from_pandas", "from_data", "from_cached"})
+
+
+def check_source_ops(tree: ast.Module, rel: str) -> Iterator[str]:
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        if name != "OpSpec":
+            continue
+        is_source = any(
+            kw.arg == "is_source" and isinstance(kw.value, ast.Constant)
+            and kw.value.value is True
+            for kw in node.keywords
+        )
+        op = node.args[0] if node.args else None
+        op_name = op.value if isinstance(op, ast.Constant) else None
+        if is_source and op_name not in SOURCE_OPS:
+            yield (
+                f"src/repro/{rel}:{node.lineno}: source op {op_name!r} "
+                f"registered; files are read through the one ``scan`` "
+                f"leaf (allowed sources: {', '.join(sorted(SOURCE_OPS))})"
+            )
+
+
+# ---------------------------------------------------------------------------
+
+CHECKS = (check_mutable_globals, check_real_pandas, check_register_op,
+          check_source_ops)
 
 
 def run(src: Path = SRC) -> List[str]:
